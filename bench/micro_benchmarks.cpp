@@ -109,8 +109,9 @@ void BM_FlushBufferAppend(benchmark::State& state) {
   std::size_t sink = 0;
   stream::FlushBufferConfig config;
   config.capacity = 64 * 1024;
-  stream::FlushBuffer buffer{sim, config,
-                             [&sink](std::string d) { sink += d.size(); }};
+  stream::FlushBuffer buffer{
+      sim, config,
+      stream::FlushBuffer::FlushFn{[&sink](stream::ChunkRef d) { sink += d.size(); }}};
   const std::string line = "a line of application output ending in newline\n";
   for (auto _ : state) {
     buffer.append(line);

@@ -16,7 +16,8 @@
 //
 // Usage:
 //   stream_scale                 full sweep (100..2000 sessions)
-//   stream_scale --smoke         smallest grid only; exit 1 on any violation
+//   stream_scale --smoke         smallest grid plus a default-configuration
+//                                footprint check; exit 1 on any violation
 //   stream_scale --json <path>   also write machine-readable results
 #include <execinfo.h>
 
@@ -728,10 +729,21 @@ private:
 
 // ----------------------------------------------------- current session ------
 
+/// The sweep's agent and shadow buffers: the legacy stack's 1 KiB capacity
+/// and 3 ms timeout, over `pool`.
+cg::stream::FlushBufferConfig sweep_buffers(cg::stream::ChunkPool& pool) {
+  cg::stream::FlushBufferConfig config;
+  config.capacity = kBufferCapacity;
+  config.timeout = kFlushTimeout;
+  config.flush_on_newline = true;
+  config.pool = &pool;
+  return config;
+}
+
 class CurrentSession {
 public:
   CurrentSession(sim::Simulation& sim, Accum& accum, std::uint32_t id,
-                 std::size_t lines, cg::stream::ChunkPool& pool,
+                 std::size_t lines, const cg::stream::FlushBufferConfig& buffers,
                  std::size_t max_coalesce_bytes)
       : sim_{sim},
         accum_{accum},
@@ -743,11 +755,11 @@ public:
         reliable_{sim, channel_, sender_disk_, &receiver_disk_,
                   cg::stream::RetryPolicy{.max_coalesce_bytes =
                                               max_coalesce_bytes}},
-        agent_buf_{sim, buffer_config(pool),
+        agent_buf_{sim, buffers,
                    cg::stream::FlushBuffer::FlushFn{[this](cg::stream::ChunkRef data) {
                      on_agent_flush(std::move(data));
                    }}},
-        shadow_buf_{sim, buffer_config(pool),
+        shadow_buf_{sim, buffers,
                     cg::stream::FlushBuffer::FlushFn{[this](cg::stream::ChunkRef data) {
                       accum_.on_screen(sim_.now(), data.view());
                     }}} {
@@ -778,15 +790,6 @@ public:
   }
 
 private:
-  static cg::stream::FlushBufferConfig buffer_config(cg::stream::ChunkPool& pool) {
-    cg::stream::FlushBufferConfig config;
-    config.capacity = kBufferCapacity;
-    config.timeout = kFlushTimeout;
-    config.flush_on_newline = true;
-    config.pool = &pool;
-    return config;
-  }
-
   void produce() {
     char buf[4096];
     for (std::size_t i = 0; i < g_burst_lines && lines_emitted_ < lines_quota_;
@@ -988,6 +991,46 @@ void prime_pool(cg::stream::ChunkPool& pool, std::size_t n_sessions) {
   }
 }
 
+/// Default-configuration footprint gate. Each session runs like one
+/// GridConsole: a default FlushBufferConfig for both buffers over a private
+/// default ChunkPool (64 KiB slabs, the same size as the buffer capacity).
+/// Its whole output fits one slab, so packed segments must keep every
+/// session's pool at two slabs (agent writer + shadow writer) however many
+/// flushed lines are in flight. Returns false and reports each session over.
+bool default_footprint_ok() {
+  constexpr std::size_t kSessions = 4;
+  constexpr std::size_t kLines = 50;
+  constexpr std::size_t kMaxSlabs = 2;
+  g_burst_lines = 4;
+  g_burst_interval = Duration::millis(5);
+  sim::Simulation sim;
+  Accum accum;
+  accum.session_content.assign(kSessions, 0xcbf29ce484222325ULL);
+  std::vector<std::unique_ptr<cg::stream::ChunkPool>> pools;
+  std::vector<std::unique_ptr<CurrentSession>> sessions;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    pools.push_back(std::make_unique<cg::stream::ChunkPool>());
+    cg::stream::FlushBufferConfig buffers;
+    buffers.pool = pools.back().get();
+    sessions.push_back(std::make_unique<CurrentSession>(
+        sim, accum, static_cast<std::uint32_t>(i), kLines, buffers, 0));
+    sessions.back()->start();
+  }
+  sim.run();
+  bool ok = true;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    const std::size_t slabs = pools[i]->allocated_chunks();
+    std::cout << "default config: session " << i << " allocated " << slabs
+              << " slab(s) for " << kLines << " lines\n";
+    if (slabs > kMaxSlabs) {
+      std::cerr << "[FAIL] default-config session " << i << " allocated "
+                << slabs << " slabs (limit " << kMaxSlabs << ")\n";
+      ok = false;
+    }
+  }
+  return ok;
+}
+
 void write_json(const std::string& path, const std::vector<Row>& rows) {
   std::ofstream f{path};
   f << "{\n  \"bench\": \"stream_scale\",\n  \"results\": [\n";
@@ -1086,18 +1129,20 @@ int main(int argc, char** argv) {
         // One pool serves every session; slabs are shared and recycled.
         cg::stream::ChunkPool pool{4096};
         prime_pool(pool, sessions);
+        cg::stream::FlushBufferConfig buffers = sweep_buffers(pool);
         std::size_t off = 0;
         if (dumping) g_dump = std::fopen((dump_prefix + ".new").c_str(), "w");
         merge_rep(row.current, run_sessions<CurrentSession>(
-                                   sessions, lines, true, pool, off));
+                                   sessions, lines, true, buffers, off));
         if (g_dump != nullptr) { std::fclose(g_dump); g_dump = nullptr; }
       }
       {
         cg::stream::ChunkPool pool{4096};
         prime_pool(pool, sessions);
+        cg::stream::FlushBufferConfig buffers = sweep_buffers(pool);
         std::size_t coalesce = 64 * 1024;
         merge_rep(row.coalesced, run_sessions<CurrentSession>(
-                                     sessions, lines, true, pool, coalesce));
+                                     sessions, lines, true, buffers, coalesce));
       }
       if (!row.digests_match() || !row.coalesced_digest_match()) break;
     }
@@ -1154,6 +1199,7 @@ int main(int argc, char** argv) {
   }
   std::cout << table.render() << "\n";
   if (!json_path.empty()) write_json(json_path, rows);
+  if (smoke && !default_footprint_ok()) failed = true;
   std::cout << (failed
                     ? "[MISS] streaming rewrite violated its contract\n"
                     : "[ok]   identical delivery sequence, allocation-free "

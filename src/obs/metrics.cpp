@@ -243,6 +243,11 @@ void GaugeHandle::materialize() {
   slot_->instrument = &slot_->owner->gauge(slot_->name, slot_->labels);
 }
 
+double GaugeHandle::registered_value() const {
+  const Gauge* gauge = slot_->owner->find_gauge(slot_->name, slot_->labels);
+  return gauge != nullptr ? gauge->value() : 0.0;
+}
+
 void HistogramHandle::materialize() {
   slot_->instrument =
       &slot_->owner->histogram(slot_->name, slot_->labels, slot_->buckets);

@@ -203,12 +203,20 @@ public:
     if (slot_->instrument == nullptr) materialize();
     static_cast<Gauge*>(slot_->instrument)->add(delta);
   }
+  /// The gauge's current value (0 when unbound or never written). Reading
+  /// does not create the instrument.
+  [[nodiscard]] double value() const {
+    if (slot_ == nullptr) return 0.0;
+    if (slot_->instrument == nullptr) return registered_value();
+    return static_cast<const Gauge*>(slot_->instrument)->value();
+  }
   [[nodiscard]] explicit operator bool() const { return slot_ != nullptr; }
 
 private:
   friend class MetricsRegistry;
   explicit GaugeHandle(detail::HandleSlot* slot) : slot_{slot} {}
   void materialize();
+  [[nodiscard]] double registered_value() const;
   detail::HandleSlot* slot_ = nullptr;
 };
 

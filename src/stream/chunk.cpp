@@ -1,5 +1,6 @@
 #include "stream/chunk.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -24,6 +25,8 @@ ChunkPool::ChunkPool(std::size_t slab_bytes) : slab_bytes_{slab_bytes} {
 }
 
 ChunkPool::~ChunkPool() {
+  // Withdraw this pool's share of the grid-wide occupancy gauges.
+  set_metrics(nullptr);
   // Chunks reference the pool; by construction (FlushBuffers and in-flight
   // ChunkRefs are torn down first) everything is back on the free list here.
   for (detail::ChunkHeader* slab : slabs_) ::operator delete(slab);
@@ -54,7 +57,7 @@ detail::ChunkHeader* ChunkPool::acquire(std::size_t min_bytes) {
       // Every slab may be on the free list at once; reserving here keeps
       // release() allocation-free however the in-use count fluctuates.
       free_.reserve(slabs_.size());
-      metrics_.allocated.set(static_cast<double>(slabs_.size()));
+      metrics_.allocated.add(1.0);
     }
   } else {
     if (min_bytes > UINT32_MAX) {
@@ -65,17 +68,17 @@ detail::ChunkHeader* ChunkPool::acquire(std::size_t min_bytes) {
     metrics_.oversize_allocs.inc();
   }
   ++in_use_;
-  metrics_.in_use.set(static_cast<double>(in_use_));
-  if (in_use_ > high_water_) {
-    high_water_ = in_use_;
-    metrics_.high_water.set(static_cast<double>(high_water_));
+  high_water_ = std::max(high_water_, in_use_);
+  metrics_.in_use.add(1.0);
+  if (metrics_.in_use.value() > metrics_.high_water.value()) {
+    metrics_.high_water.set(metrics_.in_use.value());
   }
   return chunk;
 }
 
 void ChunkPool::release(detail::ChunkHeader* chunk) {
   --in_use_;
-  metrics_.in_use.set(static_cast<double>(in_use_));
+  metrics_.in_use.add(-1.0);
   if (chunk->capacity == slab_bytes_) {
     free_.push_back(chunk);
   } else {
@@ -84,6 +87,10 @@ void ChunkPool::release(detail::ChunkHeader* chunk) {
 }
 
 void ChunkPool::set_metrics(obs::MetricsRegistry* metrics, obs::LabelSet labels) {
+  // Every pool bound to the same (name, labels) adds into one gauge, so move
+  // this pool's share from the old handles to the new ones.
+  metrics_.in_use.add(-static_cast<double>(in_use_));
+  metrics_.allocated.add(-static_cast<double>(slabs_.size()));
   metrics_ = MetricHandles{};
   if (metrics == nullptr) return;
   metrics_.in_use = metrics->gauge_handle("stream.chunk_pool.in_use", labels);
@@ -91,9 +98,10 @@ void ChunkPool::set_metrics(obs::MetricsRegistry* metrics, obs::LabelSet labels)
   metrics_.high_water = metrics->gauge_handle("stream.chunk_pool.high_water", labels);
   metrics_.oversize_allocs =
       metrics->counter_handle("stream.chunk_pool.oversize_allocs", std::move(labels));
-  metrics_.in_use.set(static_cast<double>(in_use_));
-  metrics_.allocated.set(static_cast<double>(slabs_.size()));
-  metrics_.high_water.set(static_cast<double>(high_water_));
+  metrics_.allocated.add(static_cast<double>(slabs_.size()));
+  metrics_.in_use.add(static_cast<double>(in_use_));
+  metrics_.high_water.set(
+      std::max(metrics_.high_water.value(), metrics_.in_use.value()));
 }
 
 ChunkRef ChunkRef::copy_of(std::string_view data, ChunkPool& pool) {

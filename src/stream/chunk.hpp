@@ -75,8 +75,10 @@ public:
 
   /// Attaches a metrics registry: pool occupancy gauges
   /// ("stream.chunk_pool.in_use" / ".allocated" / ".high_water") and the
-  /// "stream.chunk_pool.oversize_allocs" counter on top of `labels`. Must
-  /// outlive the pool (or be detached with nullptr).
+  /// "stream.chunk_pool.oversize_allocs" counter on top of `labels`. The
+  /// gauges sum over every pool attached with the same labels (each pool
+  /// withdraws its share on detach and destruction); high_water is the peak
+  /// of that sum. Must outlive the pool (or be detached with nullptr).
   void set_metrics(obs::MetricsRegistry* metrics, obs::LabelSet labels = {});
 
   /// Process-wide fallback pool (default slab size) used by FlushBuffers

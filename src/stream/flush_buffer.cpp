@@ -24,14 +24,6 @@ FlushBuffer::FlushBuffer(sim::Simulation& sim, FlushBufferConfig config,
   if (!on_flush_) throw std::invalid_argument{"null flush callback"};
 }
 
-FlushBuffer::FlushBuffer(sim::Simulation& sim, FlushBufferConfig config,
-                         StringFlushFn on_flush)
-    : FlushBuffer{sim, config,
-                  on_flush ? FlushFn{[fn = std::move(on_flush)](ChunkRef data) {
-                    fn(data.to_string());
-                  }}
-                           : FlushFn{}} {}
-
 FlushBuffer::~FlushBuffer() {
   if (chunk_ != nullptr) detail::chunk_unref(chunk_);
 }
@@ -66,7 +58,7 @@ void FlushBuffer::append(std::string_view data) {
       }
     }
 
-    ensure_segment_chunk();
+    ensure_room(take);
     std::memcpy(chunk_->data() + chunk_->write_pos, data.data(), take);
     chunk_->write_pos += static_cast<std::uint32_t>(take);
     buffered_ += take;
@@ -80,17 +72,19 @@ void FlushBuffer::append(std::string_view data) {
   }
 }
 
-void FlushBuffer::ensure_segment_chunk() {
-  // Mid-segment appends always fit: the segment reserved `capacity` bytes of
-  // room when it opened, and a segment flushes before exceeding capacity.
-  if (buffered_ > 0) return;
-  if (chunk_ != nullptr &&
-      chunk_->capacity - chunk_->write_pos >= config_.capacity) {
-    seg_start_ = chunk_->write_pos;
+void FlushBuffer::ensure_room(std::size_t take) {
+  if (chunk_ != nullptr && chunk_->capacity - chunk_->write_pos >= take) {
     return;
   }
+  // Rollover: the open segment (under `capacity` bytes) moves once to a fresh
+  // chunk, which always has room for a whole segment. In-flight ChunkRefs
+  // keep the old chunk alive until they are delivered.
   detail::ChunkHeader* fresh =
       pool_->acquire(std::max(config_.capacity, pool_->slab_bytes()));
+  if (buffered_ > 0) {
+    std::memcpy(fresh->data(), chunk_->data() + seg_start_, buffered_);
+  }
+  fresh->write_pos = static_cast<std::uint32_t>(buffered_);
   if (chunk_ != nullptr) detail::chunk_unref(chunk_);
   chunk_ = fresh;
   seg_start_ = 0;

@@ -6,16 +6,17 @@
 // submitting machine (Job Shadow buffer flushed to the screen).
 //
 // The buffer writes directly into pooled chunks (see chunk.hpp): append() is
-// a single pass over the input — each byte is copied exactly once into the
-// current chunk — and every flush hands out a ChunkRef view of the flushed
-// segment instead of a freshly allocated string, so the steady-state flush
-// path never touches the heap.
+// a single pass over the input — each byte is copied once into the current
+// chunk, and at most once more, on slab rollover — and every flush hands out
+// a ChunkRef view of the flushed segment instead of a freshly allocated
+// string, so the steady-state flush path never touches the heap. Segments
+// pack back to back in the current chunk, so a writer holds about one slab
+// however many of its flushed lines are still in flight.
 #pragma once
 
 #include <array>
 #include <cstring>
-#include <functional>
-#include <string>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "sim/simulation.hpp"
@@ -42,13 +43,8 @@ enum class FlushReason { kCapacity, kNewline, kTimeout, kExplicit };
 class FlushBuffer {
 public:
   using FlushFn = util::InplaceFunction<void(ChunkRef), 48>;
-  /// Compatibility shim: consumers that want an owned std::string per flush
-  /// (tests, example sinks). Each flush materializes one string copy.
-  using StringFlushFn = std::function<void(std::string data)>;
 
   FlushBuffer(sim::Simulation& sim, FlushBufferConfig config, FlushFn on_flush);
-  FlushBuffer(sim::Simulation& sim, FlushBufferConfig config,
-              StringFlushFn on_flush);
   ~FlushBuffer();
   FlushBuffer(const FlushBuffer&) = delete;
   FlushBuffer& operator=(const FlushBuffer&) = delete;
@@ -74,7 +70,7 @@ public:
   void set_metrics(obs::MetricsRegistry* metrics, obs::LabelSet labels = {});
 
 private:
-  void ensure_segment_chunk();
+  void ensure_room(std::size_t take);
   void arm_timeout();
   void emit(FlushReason reason);
 
@@ -83,9 +79,9 @@ private:
   ChunkPool* pool_;  ///< resolved (config_.pool or the shared pool)
   FlushFn on_flush_;
   /// Current write chunk (one writer reference held) and the open segment:
-  /// bytes [seg_start_, seg_start_ + buffered_) are appended-but-unflushed.
-  /// A segment never spans chunks — a fresh segment only opens in a chunk
-  /// with at least `capacity` bytes of room.
+  /// bytes [seg_start_, seg_start_ + buffered_) are appended-but-unflushed,
+  /// and seg_start_ + buffered_ == chunk_->write_pos. A segment never spans
+  /// chunks: one that outgrows the room left moves to a fresh chunk.
   detail::ChunkHeader* chunk_ = nullptr;
   std::size_t seg_start_ = 0;
   std::size_t buffered_ = 0;

@@ -7,9 +7,11 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/disk.hpp"
 #include "stream/chunk.hpp"
 #include "stream/flush_buffer.hpp"
+#include "stream/grid_console.hpp"
 #include "stream/spool.hpp"
 #include "util/ring.hpp"
 
@@ -121,6 +123,147 @@ TEST(ChunkFlushTest, FlushedSegmentsBorrowThePool) {
   EXPECT_EQ(flushed[1].view(), "second line\n");
   // Both segments fit the same 4 KiB chunk: one slab serves many flushes.
   EXPECT_EQ(pool.allocated_chunks(), 1u);
+}
+
+TEST(ChunkFlushTest, DefaultConfigPacksLinesIntoOneSlab) {
+  // The default capacity equals the 64 KiB slab. Flushed lines must still
+  // pack back to back: 1000 in-flight 64-byte lines (62.5 KiB) share one
+  // slab instead of taking one slab each.
+  sim::Simulation sim;
+  ChunkPool pool;
+  FlushBufferConfig config;
+  ASSERT_EQ(config.capacity, pool.slab_bytes());
+  config.pool = &pool;
+  std::vector<ChunkRef> flushed;
+  FlushBuffer buf{sim, config,
+                  FlushBuffer::FlushFn{[&](ChunkRef data) {
+                    flushed.push_back(std::move(data));
+                  }}};
+  std::string line(63, 'x');
+  line.push_back('\n');
+  for (int i = 0; i < 1000; ++i) buf.append(line);
+  ASSERT_EQ(flushed.size(), 1000u);
+  for (const ChunkRef& ref : flushed) ASSERT_EQ(ref.view(), line);
+  EXPECT_LE(pool.allocated_chunks(), 2u);
+  EXPECT_EQ(pool.oversize_allocations(), 0u);
+}
+
+TEST(ChunkFlushTest, RolloverMovesOpenSegmentIntact) {
+  // Appends without a newline that straddle the chunk end: the open segment
+  // moves whole into a fresh chunk, so every flush is one contiguous view.
+  sim::Simulation sim;
+  ChunkPool pool{256};
+  FlushBufferConfig config;
+  config.capacity = 100;
+  config.flush_on_newline = false;
+  config.pool = &pool;
+  std::vector<ChunkRef> flushed;
+  FlushBuffer buf{sim, config,
+                  FlushBuffer::FlushFn{[&](ChunkRef data) {
+                    flushed.push_back(std::move(data));
+                  }}};
+  std::string input;
+  for (int i = 0; i < 70; ++i) {
+    const std::string piece(7, static_cast<char>('a' + i % 26));
+    input += piece;
+    buf.append(piece);
+  }
+  buf.flush();
+  std::string out;
+  for (const ChunkRef& ref : flushed) {
+    EXPECT_LE(ref.size(), config.capacity);
+    out += ref.view();
+  }
+  EXPECT_EQ(out, input);
+  EXPECT_EQ(pool.oversize_allocations(), 0u);
+  // 490 bytes over 256-byte slabs: the segments that straddled a chunk end
+  // were copied out, so the writer moved on at least twice.
+  const std::size_t slabs = pool.allocated_chunks();
+  EXPECT_GE(slabs, 3u);
+  // Dropping the flushed refs returns every chunk but the writer's current
+  // one to the free list.
+  flushed.clear();
+  EXPECT_EQ(pool.in_use_chunks(), 1u);
+  EXPECT_EQ(pool.free_chunks(), slabs - 1);
+}
+
+class ConsoleBurstTest : public ::testing::TestWithParam<jdl::StreamingMode> {};
+
+TEST_P(ConsoleBurstTest, InFlightBurstHoldsAtMostTwoSlabs) {
+  // A 600-line burst written before the engine runs is all in flight at
+  // once. With the default buffer and pool configuration the console still
+  // holds at most two slabs, and every line reaches the screen in order.
+  sim::Simulation sim;
+  sim::Network network{Rng{11}};
+  network.add_link("ui", "wn0", sim::LinkSpec::campus());
+  GridConsoleConfig config;
+  config.mode = GetParam();
+  std::string screen;
+  GridConsole console{sim, network, config, "ui",
+                      ConsoleShadow::ChunkSink{[&](ChunkRef data) {
+                        screen += data.view();
+                      }},
+                      Rng{1}};
+  ConsoleAgent& agent = console.add_agent(0, "wn0");
+  std::string expected;
+  for (int i = 0; i < 600; ++i) {
+    std::string line = "line " + std::to_string(i) + " ";
+    line.append(63 - line.size(), '.');
+    line.push_back('\n');
+    expected += line;
+    agent.write_stdout(line);
+  }
+  EXPECT_LE(console.chunk_pool().allocated_chunks(), 2u);
+  sim.run();
+  EXPECT_EQ(screen, expected);
+  EXPECT_LE(console.chunk_pool().allocated_chunks(), 2u);
+  EXPECT_EQ(console.chunk_pool().oversize_allocations(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ConsoleBurstTest,
+                         ::testing::Values(jdl::StreamingMode::kFast,
+                                           jdl::StreamingMode::kReliable),
+                         [](const auto& mode) {
+                           return mode.param == jdl::StreamingMode::kFast
+                                      ? std::string{"Fast"}
+                                      : std::string{"Reliable"};
+                         });
+
+// ------------------------------------------------------- pool gauges ----
+
+TEST(ChunkPoolTest, GaugesSumOverEveryAttachedPool) {
+  obs::MetricsRegistry metrics;
+  const auto gauge = [&](const char* name) {
+    const obs::Gauge* g = metrics.find_gauge(name);
+    return g != nullptr ? g->value() : -1.0;
+  };
+  std::vector<ChunkRef> refs;
+  {
+    ChunkPool a{128};
+    ChunkPool b{128};
+    a.set_metrics(&metrics);
+    b.set_metrics(&metrics);
+    for (int i = 0; i < 3; ++i) {
+      refs.push_back(ChunkRef::copy_of(std::string(100, 'a'), a));
+    }
+    for (int i = 0; i < 2; ++i) {
+      refs.push_back(ChunkRef::copy_of(std::string(100, 'b'), b));
+    }
+    EXPECT_EQ(gauge("stream.chunk_pool.in_use"), 5.0);
+    EXPECT_EQ(gauge("stream.chunk_pool.allocated"), 5.0);
+    EXPECT_EQ(gauge("stream.chunk_pool.high_water"), 5.0);
+    refs.clear();
+    EXPECT_EQ(gauge("stream.chunk_pool.in_use"), 0.0);
+    EXPECT_EQ(gauge("stream.chunk_pool.allocated"), 5.0);
+    refs.push_back(ChunkRef::copy_of(std::string(100, 'c'), b));
+    EXPECT_EQ(gauge("stream.chunk_pool.in_use"), 1.0);
+    EXPECT_EQ(gauge("stream.chunk_pool.high_water"), 5.0);  // peak of the sum
+    refs.clear();
+  }
+  // Destroyed pools withdraw their slabs; the peak stays.
+  EXPECT_EQ(gauge("stream.chunk_pool.in_use"), 0.0);
+  EXPECT_EQ(gauge("stream.chunk_pool.allocated"), 0.0);
+  EXPECT_EQ(gauge("stream.chunk_pool.high_water"), 5.0);
 }
 
 // ------------------------------------------------------------------- ring ----
