@@ -207,14 +207,11 @@ Expected<JobId, SubmitError> CrossBroker::submit(jdl::JobDescription description
   const obs::LabelSet job_labels{
       {"type", std::string{jdl::to_string(desc.category())}},
       {"flavor", std::string{jdl::to_string(desc.flavor())}}};
-  trace(id, "submitted",
+  trace(id, obs::TraceEventKind::kSubmitted,
         jdl::to_string(desc.category()) + " " + jdl::to_string(desc.flavor()) +
-            " x" + std::to_string(desc.node_number()));
-  tracev(id, obs::TraceEventKind::kSubmitted,
-         jdl::to_string(desc.category()) + " " + jdl::to_string(desc.flavor()) +
-             " x" + std::to_string(desc.node_number()),
-         obs::LabelSet{{"user", std::to_string(user.value())},
-                       {"type", std::string{jdl::to_string(desc.category())}}});
+            " x" + std::to_string(desc.node_number()),
+        obs::LabelSet{{"user", std::to_string(user.value())},
+                      {"type", std::string{jdl::to_string(desc.category())}}});
   count("broker.jobs_submitted", job_labels);
   log_info(kLog, "submitted ", id, " (", jdl::to_string(desc.category()), ", ",
            jdl::to_string(desc.flavor()), ")");
@@ -353,13 +350,8 @@ double CrossBroker::application_factor(const ManagedJob& job) const {
   return application_factor_batch();
 }
 
-void CrossBroker::trace(JobId job, const std::string& kind,
-                        const std::string& detail) {
-  if (trace_ != nullptr) trace_->record(sim_.now(), job, kind, detail);
-}
-
-void CrossBroker::tracev(JobId job, obs::TraceEventKind kind, std::string detail,
-                         obs::LabelSet attrs) {
+void CrossBroker::trace(JobId job, obs::TraceEventKind kind, std::string detail,
+                        obs::LabelSet attrs) {
   if (obs_ != nullptr) {
     obs_->tracer.record(sim_.now(), job, kind, std::move(detail),
                         std::move(attrs));
@@ -396,6 +388,7 @@ void CrossBroker::set_observability(obs::Observability* obs) {
   metrics_.leases_acquired = m.counter_handle("broker.leases_acquired");
   metrics_.lease_revocations = m.counter_handle("broker.lease_revocations");
   metrics_.liveness_probes = m.counter_handle("broker.liveness_probes");
+  metrics_.queue_depth = m.gauge_handle("broker.queue_depth");
   for (std::size_t i = 0; i < metrics_.match_latency.size(); ++i) {
     metrics_.match_latency[i] = m.histogram_handle(
         "broker.match_latency_s",
@@ -437,12 +430,8 @@ obs::TraceEventKind trace_kind_for(JobState state) {
 void CrossBroker::set_state(ManagedJob& job, JobState state) {
   if (job.record.state == state) return;
   job.record.state = state;
-  trace(job.record.id, "state", to_string(state));
-  tracev(job.record.id, trace_kind_for(state), to_string(state));
-  if (obs_ != nullptr) {
-    obs_->metrics.gauge("broker.queue_depth")
-        .set(static_cast<double>(waiting_batch_.size()));
-  }
+  trace(job.record.id, trace_kind_for(state), to_string(state));
+  metrics_.queue_depth.set(static_cast<double>(waiting_batch_.size()));
   if (job.callbacks.on_state_change) job.callbacks.on_state_change(job.record);
 }
 
@@ -779,11 +768,8 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
                             config_.match_lease_ttl, capacity);
         if (!lease) {
           job->record.last_error = lease.error();
-          trace(id, "lease", "conflict at site " +
-                                 std::to_string(placement.site.value()) + ": " +
-                                 lease.error().message);
-          tracev(id, obs::TraceEventKind::kLeaseRevoked, lease.error().message,
-                 obs::LabelSet{{"site", std::to_string(placement.site.value())}});
+          trace(id, obs::TraceEventKind::kLeaseRevoked, lease.error().message,
+                obs::LabelSet{{"site", std::to_string(placement.site.value())}});
           count("broker.lease_conflicts",
                 obs::LabelSet{{"site", std::to_string(placement.site.value())}});
           for (const auto& a : assignments) {
@@ -798,10 +784,10 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
           return;
         }
         job->held_leases.push_back(*lease);
-        tracev(id, obs::TraceEventKind::kLeaseAcquired,
-               std::to_string(placement.processes) + " cpus at site " +
-                   std::to_string(placement.site.value()),
-               obs::LabelSet{{"site", std::to_string(placement.site.value())}});
+        trace(id, obs::TraceEventKind::kLeaseAcquired,
+              std::to_string(placement.processes) + " cpus at site " +
+                  std::to_string(placement.site.value()),
+              obs::LabelSet{{"site", std::to_string(placement.site.value())}});
         metrics_.leases_acquired.inc();
       }
     }
@@ -858,16 +844,12 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
                 job->record.timestamps.submitted)
                    .to_seconds());
   for (const auto& sub : job->record.subjobs) {
-    trace(id, "match",
+    trace(id, obs::TraceEventKind::kMatched,
           "rank " + std::to_string(sub.rank) + " -> site " +
-              std::to_string(sub.site.value()) +
-              (sub.agent ? " (interactive-vm)" : ""));
-    tracev(id, obs::TraceEventKind::kMatched,
-           "rank " + std::to_string(sub.rank) + " -> site " +
-               std::to_string(sub.site.value()),
-           obs::LabelSet{{"site", std::to_string(sub.site.value())},
-                         {"rank", std::to_string(sub.rank)},
-                         {"placement", to_string(job->record.placement)}});
+              std::to_string(sub.site.value()),
+          obs::LabelSet{{"site", std::to_string(sub.site.value())},
+                        {"rank", std::to_string(sub.rank)},
+                        {"placement", to_string(job->record.placement)}});
   }
   for (std::size_t i = 0; i < assignments.size(); ++i) {
     switch (assignments[i].kind) {
@@ -1331,13 +1313,10 @@ CrossBroker::AgentInfo& CrossBroker::create_agent_with_carrier(
   const AgentId agent_id = agent.id();
   const JobId carrier = job_ids_.next();
   agent.set_carrier_job_id(carrier);
-  trace(JobId::none(), "agent",
-        "agent " + std::to_string(agent_id.value()) + " submitted to site " +
-            std::to_string(site_id.value()));
-  tracev(JobId::none(), obs::TraceEventKind::kAgentDeployed,
-         "agent " + std::to_string(agent_id.value()) + " -> site " +
-             std::to_string(site_id.value()),
-         obs::LabelSet{{"site", std::to_string(site_id.value())}});
+  trace(JobId::none(), obs::TraceEventKind::kAgentDeployed,
+        "agent " + std::to_string(agent_id.value()) + " -> site " +
+            std::to_string(site_id.value()),
+        obs::LabelSet{{"site", std::to_string(site_id.value())}});
   count("broker.agents_deployed",
         obs::LabelSet{{"site", std::to_string(site_id.value())}});
   if (obs_ != nullptr) {
@@ -1549,10 +1528,10 @@ void CrossBroker::heartbeat_tick() {
       per_site_counter(metrics_.heartbeat_misses, "broker.heartbeat_misses",
                        info.site)
           .inc();
-      tracev(JobId::none(), obs::TraceEventKind::kHeartbeatMiss,
-             "agent " + std::to_string(agent_id.value()) + " missed probe " +
-                 std::to_string(info.missed_heartbeats),
-             obs::LabelSet{{"site", std::to_string(info.site.value())}});
+      trace(JobId::none(), obs::TraceEventKind::kHeartbeatMiss,
+            "agent " + std::to_string(agent_id.value()) + " missed probe " +
+                std::to_string(info.missed_heartbeats),
+            obs::LabelSet{{"site", std::to_string(info.site.value())}});
       if (!info.suspected &&
           info.missed_heartbeats >= config_.agent_heartbeat_miss_limit) {
         suspect_agent(agent_id, "heartbeat");
@@ -1587,11 +1566,11 @@ void CrossBroker::liveness_tick() {
       per_site_counter(metrics_.liveness_misses, "broker.liveness_misses",
                        info.site)
           .inc();
-      tracev(JobId::none(), obs::TraceEventKind::kLivenessMiss,
-             "agent " + std::to_string(agent_id.value()) + " missed echo " +
-                 std::to_string(info.missed_echoes) + " (probe " +
-                 std::to_string(info.probe_seq) + ")",
-             obs::LabelSet{{"site", std::to_string(info.site.value())}});
+      trace(JobId::none(), obs::TraceEventKind::kLivenessMiss,
+            "agent " + std::to_string(agent_id.value()) + " missed echo " +
+                std::to_string(info.missed_echoes) + " (probe " +
+                std::to_string(info.probe_seq) + ")",
+            obs::LabelSet{{"site", std::to_string(info.site.value())}});
       if (!info.suspected &&
           info.missed_echoes >= config_.liveness_miss_limit) {
         suspect_agent(agent_id, "liveness");
@@ -1650,14 +1629,11 @@ void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
   const std::string cause =
       by_liveness ? std::to_string(info.missed_echoes) + " missed liveness echoes"
                   : std::to_string(info.missed_heartbeats) + " missed heartbeats";
-  trace(JobId::none(), "agent",
-        "agent " + std::to_string(agent_id.value()) + " suspected after " +
-            cause);
   log_warn(kLog, "agent ", agent_id.value(), " suspected (", cause, ")");
-  tracev(JobId::none(), obs::TraceEventKind::kAgentSuspected,
-         "agent " + std::to_string(agent_id.value()) + " after " + cause,
-         obs::LabelSet{{"site", std::to_string(info.site.value())},
-                       {"reason", reason}});
+  trace(JobId::none(), obs::TraceEventKind::kAgentSuspected,
+        "agent " + std::to_string(agent_id.value()) + " after " + cause,
+        obs::LabelSet{{"site", std::to_string(info.site.value())},
+                      {"reason", reason}});
   count("broker.agents_suspected", obs::LabelSet{{"reason", reason}});
   if (config_.running_job_grace > Duration::zero()) {
     const SimTime since = sim_.now();
@@ -1676,13 +1652,10 @@ void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
   for (const JobId id : revoked) {
     ManagedJob* job = find_job(id);
     if (job == nullptr || is_terminal(job->record.state)) continue;
-    trace(id, "lease",
-          "revoked: reserved agent " + std::to_string(agent_id.value()) +
-              " missed heartbeats");
-    tracev(id, obs::TraceEventKind::kLeaseRevoked,
-           "reserved agent " + std::to_string(agent_id.value()) +
-               " missed heartbeats",
-           obs::LabelSet{{"site", std::to_string(info.site.value())}});
+    trace(id, obs::TraceEventKind::kLeaseRevoked,
+          "reserved agent " + std::to_string(agent_id.value()) +
+              " missed heartbeats",
+          obs::LabelSet{{"site", std::to_string(info.site.value())}});
     count("broker.lease_revocations");
     resubmit_job(id);
   }
@@ -1698,13 +1671,10 @@ void CrossBroker::restore_agent(AgentId agent_id) {
   it->second.missed_echoes = 0;
   it->second.suspected_since.reset();
   site_health_.note_restored(it->second.site);
-  trace(JobId::none(), "agent",
-        "agent " + std::to_string(agent_id.value()) +
-            " re-registered after partition healed");
   log_info(kLog, "agent ", agent_id.value(), " re-registered");
-  tracev(JobId::none(), obs::TraceEventKind::kAgentRestored,
-         "agent " + std::to_string(agent_id.value()) + " re-registered",
-         obs::LabelSet{{"site", std::to_string(it->second.site.value())}});
+  trace(JobId::none(), obs::TraceEventKind::kAgentRestored,
+        "agent " + std::to_string(agent_id.value()) + " re-registered",
+        obs::LabelSet{{"site", std::to_string(it->second.site.value())}});
   count("broker.agents_restored");
   // Residents may have been evicted while the agent was suspected, leaving
   // it idle: now that it is reachable again the usual idle-dismissal applies,
@@ -1767,15 +1737,12 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
     // partition. The resulting score pushes the site past the exclusion
     // threshold so the resubmitted job's replacement agent avoids it.
     site_health_.note_eviction(info.site);
-    trace(job_id, "evicted",
+    trace(job_id, obs::TraceEventKind::kJobEvicted,
           "agent " + std::to_string(agent_id.value()) +
-              " suspected past running_job_grace");
-    tracev(job_id, obs::TraceEventKind::kJobEvicted,
-           "agent " + std::to_string(agent_id.value()) +
-               " suspected past running_job_grace",
-           obs::LabelSet{{"reason", "partition"},
-                         {"agent", std::to_string(agent_id.value())},
-                         {"site", std::to_string(info.site.value())}});
+              " suspected past running_job_grace",
+          obs::LabelSet{{"reason", "partition"},
+                        {"agent", std::to_string(agent_id.value())},
+                        {"site", std::to_string(info.site.value())}});
     count("broker.jobs_evicted", obs::LabelSet{{"reason", "partition"}});
     // Subjobs on other agents cannot be rewound from here; resubmit_job then
     // reports the partial failure. The single-agent job — the normal
@@ -1803,13 +1770,10 @@ void CrossBroker::handle_agent_death(AgentId agent_id) {
   const AgentInfo info = it->second;
   agent_info_.erase(it);
   agents_.remove(agent_id);
-  trace(JobId::none(), "agent",
-        "agent " + std::to_string(agent_id.value()) + " died on site " +
-            std::to_string(info.site.value()));
   log_warn(kLog, "agent ", agent_id.value(), " died on site ", info.site.value());
-  tracev(JobId::none(), obs::TraceEventKind::kAgentDied,
-         "agent " + std::to_string(agent_id.value()),
-         obs::LabelSet{{"site", std::to_string(info.site.value())}});
+  trace(JobId::none(), obs::TraceEventKind::kAgentDied,
+        "agent " + std::to_string(agent_id.value()),
+        obs::LabelSet{{"site", std::to_string(info.site.value())}});
   count("broker.agent_deaths",
         obs::LabelSet{{"site", std::to_string(info.site.value())}});
 
@@ -1874,11 +1838,11 @@ void CrossBroker::subjob_started(JobId id, std::size_t subjob_index) {
   if (sub.started) return;
   sub.started = true;
   ++job->subjobs_running;
-  tracev(id, obs::TraceEventKind::kStarted,
-         "rank " + std::to_string(sub.rank) + " at site " +
-             std::to_string(sub.site.value()),
-         obs::LabelSet{{"site", std::to_string(sub.site.value())},
-                       {"rank", std::to_string(sub.rank)}});
+  trace(id, obs::TraceEventKind::kStarted,
+        "rank " + std::to_string(sub.rank) + " at site " +
+            std::to_string(sub.site.value()),
+        obs::LabelSet{{"site", std::to_string(sub.site.value())},
+                      {"rank", std::to_string(sub.rank)}});
 
   // MPICH-G2 startup barrier: the job runs once every subjob has started.
   if (job->subjobs_running == static_cast<int>(job->record.subjobs.size())) {
@@ -2013,14 +1977,11 @@ void CrossBroker::resubmit_job(JobId id) {
       backoff = config_.resubmit_backoff_max;
     }
   }
-  trace(id, "resubmit",
-        "attempt " + std::to_string(job->record.resubmissions) + " (backoff " +
-            std::to_string(backoff.count_micros() / 1000) + " ms)");
-  tracev(id, obs::TraceEventKind::kResubmitted,
-         "attempt " + std::to_string(job->record.resubmissions),
-         obs::LabelSet{
-             {"attempt", std::to_string(job->record.resubmissions)},
-             {"backoff_ms", std::to_string(backoff.count_micros() / 1000)}});
+  trace(id, obs::TraceEventKind::kResubmitted,
+        "attempt " + std::to_string(job->record.resubmissions),
+        obs::LabelSet{
+            {"attempt", std::to_string(job->record.resubmissions)},
+            {"backoff_ms", std::to_string(backoff.count_micros() / 1000)}});
   count("broker.resubmissions");
   observe("broker.resubmit_backoff_s", backoff.to_seconds());
   job->record.subjobs.clear();

@@ -28,7 +28,6 @@
 
 #include "broker/fair_share.hpp"
 #include "broker/job_record.hpp"
-#include "broker/job_trace.hpp"
 #include "broker/submit_error.hpp"
 #include "gsi/credential.hpp"
 #include "broker/lease_manager.hpp"
@@ -189,10 +188,6 @@ public:
   /// Proactively deploys a glide-in agent on a site (warm pool). The agent
   /// is submitted through the normal batch path.
   void preload_agent(SiteId site);
-
-  /// Attaches a Logging-&-Bookkeeping trace; the broker records every
-  /// decision into it. Must outlive the broker (or be detached with nullptr).
-  void set_trace(JobTrace* trace) { trace_ = trace; }
 
   /// Attaches the observability bundle: lifecycle transitions go to its
   /// JobTracer as typed events and the hot paths update its MetricsRegistry
@@ -384,10 +379,9 @@ private:
   glidein::AgentRegistry agents_;
   SiteHealth site_health_;
 
-  void trace(JobId job, const std::string& kind, const std::string& detail);
   /// Typed lifecycle event into the attached obs::JobTracer (no-op without).
-  void tracev(JobId job, obs::TraceEventKind kind, std::string detail,
-              obs::LabelSet attrs = {});
+  void trace(JobId job, obs::TraceEventKind kind, std::string detail,
+             obs::LabelSet attrs = {});
   /// Counter / histogram shorthands against the attached MetricsRegistry.
   void count(const char* name, obs::LabelSet labels = {}, std::uint64_t by = 1);
   void observe(const char* name, double value, obs::LabelSet labels = {});
@@ -402,6 +396,7 @@ private:
     obs::CounterHandle leases_acquired;
     obs::CounterHandle lease_revocations;
     obs::CounterHandle liveness_probes;
+    obs::GaugeHandle queue_depth;
     /// Indexed by PlacementKind (the histogram's "placement" label).
     std::array<obs::HistogramHandle, 5> match_latency;
     std::map<SiteId, obs::CounterHandle> heartbeat_misses;
@@ -412,7 +407,6 @@ private:
       std::map<SiteId, obs::CounterHandle>& cache, const char* name,
       SiteId site);
 
-  JobTrace* trace_ = nullptr;
   obs::Observability* obs_ = nullptr;
   const gsi::Certificate* trust_anchor_ = nullptr;
   std::vector<gsi::Credential> broker_credentials_;

@@ -4,7 +4,6 @@ namespace cg {
 
 Grid::Grid(GridConfig config) : scenario_{std::move(config)} {
   broker::CrossBroker& b = scenario_.broker();
-  b.set_trace(&trace_log_);
   b.set_observability(&obs_);
   for (std::size_t i = 0; i < scenario_.site_count(); ++i) {
     lrms::Site& site = scenario_.site(i);

@@ -1,8 +1,7 @@
 // cg::Grid — the facade over the whole stack. One object that owns the
 // simulated testbed (sites, information system, network, CrossBroker), the
-// observability bundle (metrics registry + job tracer), and the legacy
-// Logging-&-Bookkeeping trace, wired together so every submission is
-// instrumented without per-caller plumbing.
+// observability bundle (metrics registry + job tracer), wired together so
+// every submission is instrumented without per-caller plumbing.
 //
 //   cg::Grid grid;
 //   auto job = grid.submit(desc, user, workload);
@@ -135,10 +134,6 @@ public:
   [[nodiscard]] std::string export_chrome_trace() const {
     return obs_.tracer.to_chrome_trace();
   }
-  /// The legacy string-kind Logging-&-Bookkeeping trace (kept for tools that
-  /// grep it; new code should prefer tracer()).
-  [[nodiscard]] broker::JobTrace& trace_log() { return trace_log_; }
-
   /// A GridConsoleConfig-compatible pointer for stream-layer wiring.
   [[nodiscard]] obs::Observability* obs_ptr() { return &obs_; }
 
@@ -161,7 +156,6 @@ private:
   friend class JobHandle;
 
   obs::Observability obs_;  ///< declared first: outlives the scenario's broker
-  broker::JobTrace trace_log_;
   broker::GridScenario scenario_;
 };
 

@@ -45,41 +45,67 @@ std::string_view to_string(TraceEventKind kind) {
   return "?";
 }
 
-void JobTracer::record(SimTime when, JobId job, TraceEventKind kind,
-                       std::string detail, LabelSet attrs) {
-  events_.push_back(
-      JobTraceEvent{when, job, kind, std::move(detail), std::move(attrs)});
-  if (!subscriptions_.empty()) notify(events_.size() - 1);
+namespace {
+/// Events per storage block: 4096 events of 104 B (x86-64), 416 KiB a block.
+constexpr std::size_t kBlockEvents = 4096;
+}  // namespace
+
+const JobTraceEvent& TraceEventBlocks::operator[](std::size_t index) const {
+  return blocks_[index / kBlockEvents][index % kBlockEvents];
 }
 
-void JobTracer::notify(std::size_t event_index) {
-  // Index-based on both sides: a callback may append subscriptions (they
-  // only see later events — the bound is fixed here), unsubscribe, or even
-  // record (the event is re-indexed each call, so vector growth is safe).
+const JobTraceEvent& TraceEventBlocks::push_back(JobTraceEvent event) {
+  if (blocks_.empty() || blocks_.back().size() == kBlockEvents) {
+    blocks_.emplace_back().reserve(kBlockEvents);
+  }
+  ++size_;
+  return blocks_.back().emplace_back(std::move(event));
+}
+
+void TraceEventBlocks::clear() {
+  blocks_.clear();
+  size_ = 0;
+}
+
+void JobTracer::record(SimTime when, JobId job, TraceEventKind kind,
+                       std::string detail, LabelSet attrs) {
+  const JobTraceEvent& event = events_.push_back(
+      JobTraceEvent{when, job, kind, std::move(detail), std::move(attrs)});
+  if (!subscriptions_.empty()) notify(event);
+}
+
+void JobTracer::notify(const JobTraceEvent& event) {
+  // Stored events never move, so `event` stays valid while a callback
+  // records more. Subscriptions are walked by index: a callback may append
+  // some (they only see later events — the bound is fixed here) or
+  // unsubscribe.
   const std::size_t limit = subscriptions_.size();
   for (std::size_t i = 0; i < limit && i < subscriptions_.size(); ++i) {
-    const TraceEventKind kind = events_[event_index].kind;
-    if (subscriptions_[i].kind && *subscriptions_[i].kind != kind) continue;
-    subscriptions_[i].fn(events_[event_index]);
+    if (subscriptions_[i]->kind && *subscriptions_[i]->kind != event.kind) {
+      continue;
+    }
+    const std::shared_ptr<const Subscription> running = subscriptions_[i];
+    running->fn(event);
   }
 }
 
 JobTracer::SubscriptionId JobTracer::subscribe(Listener listener) {
   const SubscriptionId id = next_subscription_++;
-  subscriptions_.push_back(Subscription{id, std::nullopt, std::move(listener)});
+  subscriptions_.push_back(std::make_shared<const Subscription>(
+      Subscription{id, std::nullopt, std::move(listener)}));
   return id;
 }
 
 JobTracer::SubscriptionId JobTracer::subscribe(TraceEventKind kind,
                                                Listener listener) {
   const SubscriptionId id = next_subscription_++;
-  subscriptions_.push_back(Subscription{id, kind, std::move(listener)});
+  subscriptions_.push_back(std::make_shared<const Subscription>(
+      Subscription{id, kind, std::move(listener)}));
   return id;
 }
 
 void JobTracer::unsubscribe(SubscriptionId id) {
-  std::erase_if(subscriptions_,
-                [id](const Subscription& s) { return s.id == id; });
+  std::erase_if(subscriptions_, [id](const auto& s) { return s->id == id; });
 }
 
 std::vector<JobTraceEvent> JobTracer::for_job(JobId job) const {

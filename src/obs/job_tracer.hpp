@@ -1,17 +1,21 @@
 // Structured per-job lifecycle tracing: every transition a job makes through
 // the grid (submitted -> matched -> leased -> dispatched -> started ->
 // streaming -> resubmitted/suspected -> done) is recorded as a *typed* event
-// with its virtual timestamp. This replaces the string-kind JobTrace as the
-// machine surface: exports are JSON-lines for tooling and Chrome
-// `trace_event` format for flame-graph viewing (chrome://tracing, Perfetto).
+// with its virtual timestamp. It is the run's one trace — the analogue of the
+// DataGrid Logging & Bookkeeping trail. Exports are JSON-lines for tooling
+// and Chrome `trace_event` format for flame-graph viewing (chrome://tracing,
+// Perfetto).
 //
 // Determinism contract: events are appended in simulation order and exports
 // contain nothing but virtual time and recorded fields, so two same-seed
 // runs produce byte-identical exports.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -70,6 +74,66 @@ struct JobTraceEvent {
   LabelSet attrs;
 };
 
+/// Append-only event storage in fixed-size blocks (the block size is a
+/// constant in job_tracer.cpp). An appended event is never copied or moved
+/// again, so references and pointers to it stay valid until clear(), and
+/// growth never holds two copies of the trace at once.
+class TraceEventBlocks {
+public:
+  class const_iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = JobTraceEvent;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const JobTraceEvent*;
+    using reference = const JobTraceEvent&;
+
+    const_iterator() = default;
+    reference operator*() const { return (*events_)[index_]; }
+    pointer operator->() const { return &(*events_)[index_]; }
+    const_iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++index_;
+      return before;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+  private:
+    friend class TraceEventBlocks;
+    const_iterator(const TraceEventBlocks* events, std::size_t index)
+        : events_{events}, index_{index} {}
+    const TraceEventBlocks* events_ = nullptr;
+    std::size_t index_ = 0;
+  };
+
+  TraceEventBlocks() = default;
+  /// Move-only: a copied block would lose its reserved capacity and
+  /// reallocate on the next append.
+  TraceEventBlocks(const TraceEventBlocks&) = delete;
+  TraceEventBlocks& operator=(const TraceEventBlocks&) = delete;
+  TraceEventBlocks(TraceEventBlocks&&) = default;
+  TraceEventBlocks& operator=(TraceEventBlocks&&) = default;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const JobTraceEvent& operator[](std::size_t index) const;
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, size_}; }
+
+  /// Appends in place and returns the stored event.
+  const JobTraceEvent& push_back(JobTraceEvent event);
+  void clear();
+
+private:
+  /// Each block is reserved to the full block size once and never grows
+  /// past it, so its elements never reallocate.
+  std::vector<std::vector<JobTraceEvent>> blocks_;
+  std::size_t size_ = 0;
+};
+
 class JobTracer {
 public:
   /// Live subscription to recorded events: listeners run synchronously from
@@ -91,9 +155,7 @@ public:
   /// Removes a subscription; unknown ids are ignored.
   void unsubscribe(SubscriptionId id);
 
-  [[nodiscard]] const std::vector<JobTraceEvent>& events() const {
-    return events_;
-  }
+  [[nodiscard]] const TraceEventBlocks& events() const { return events_; }
   [[nodiscard]] std::vector<JobTraceEvent> for_job(JobId job) const;
   [[nodiscard]] std::vector<JobTraceEvent> of_kind(TraceEventKind kind) const;
   [[nodiscard]] std::size_t count(TraceEventKind kind) const;
@@ -113,7 +175,8 @@ public:
   /// events appear as instant ("i") marks.
   [[nodiscard]] std::string to_chrome_trace() const;
 
-  /// Drops recorded events; subscriptions stay installed.
+  /// Drops recorded events (references to them dangle); subscriptions stay
+  /// installed.
   void clear() { events_.clear(); }
 
 private:
@@ -123,10 +186,12 @@ private:
     Listener fn;
   };
 
-  void notify(std::size_t event_index);
+  void notify(const JobTraceEvent& event);
 
-  std::vector<JobTraceEvent> events_;
-  std::vector<Subscription> subscriptions_;
+  TraceEventBlocks events_;
+  /// Shared so notify() can keep a running listener alive while its callback
+  /// subscribes (reallocating the list) or unsubscribes itself.
+  std::vector<std::shared_ptr<const Subscription>> subscriptions_;
   SubscriptionId next_subscription_ = 1;
 };
 

@@ -6,6 +6,7 @@
 
 #include "broker/grid_scenario.hpp"
 #include "broker/workload_generator.hpp"
+#include "obs/observability.hpp"
 
 namespace cg::broker {
 namespace {
@@ -615,10 +616,25 @@ TEST_F(BrokerFixture, SiteFailureKillsJobAndBrokerRecoversElsewhere) {
   EXPECT_NE(*record->site(), first_site);
 }
 
+/// The trace kinds that mirror a JobState transition (CrossBroker::set_state
+/// records one per state change, with the state's name as the detail).
+bool is_state_kind(obs::TraceEventKind kind) {
+  using K = obs::TraceEventKind;
+  switch (kind) {
+    case K::kSubmitted: case K::kDiscovery: case K::kSelection:
+    case K::kDispatched: case K::kQueuedLocal: case K::kQueuedBroker:
+    case K::kRunning: case K::kCompleted: case K::kFailed: case K::kRejected:
+      return true;
+    default:
+      return false;
+  }
+}
+
 TEST_F(BrokerFixture, TraceRecordsTheFullLifecycle) {
+  obs::Observability obs;  // outlives the broker
   GridScenario grid{default_config()};
-  JobTrace trace;
-  grid.broker().set_trace(&trace);
+  grid.broker().set_observability(&obs);
+  const obs::JobTracer& trace = obs.tracer;
   Outcome outcome;
   const JobId id = grid.broker().submit(
       parse_job("Executable = \"sim\";"), UserId{1}, lrms::Workload::cpu(30_s),
@@ -627,11 +643,16 @@ TEST_F(BrokerFixture, TraceRecordsTheFullLifecycle) {
   ASSERT_TRUE(outcome.completed);
 
   // One submission event, a match per subjob, and a completed state.
-  EXPECT_EQ(trace.count("submitted"), 1u);
-  EXPECT_GE(trace.count("match"), 1u);
-  EXPECT_GE(trace.count("agent"), 1u);  // the carrying glide-in
-  const auto states = trace.of_kind("state");
+  EXPECT_EQ(trace.count(obs::TraceEventKind::kSubmitted), 1u);
+  EXPECT_GE(trace.count(obs::TraceEventKind::kMatched), 1u);
+  // The carrying glide-in.
+  EXPECT_GE(trace.count(obs::TraceEventKind::kAgentDeployed), 1u);
+  std::vector<obs::JobTraceEvent> states;
+  for (const obs::JobTraceEvent& event : trace.for_job(id)) {
+    if (is_state_kind(event.kind)) states.push_back(event);
+  }
   ASSERT_FALSE(states.empty());
+  EXPECT_EQ(states.back().kind, obs::TraceEventKind::kCompleted);
   EXPECT_EQ(states.back().detail, "completed");
   // Events are time-ordered.
   for (std::size_t i = 1; i < trace.events().size(); ++i) {
@@ -641,18 +662,27 @@ TEST_F(BrokerFixture, TraceRecordsTheFullLifecycle) {
   const auto mine = trace.for_job(id);
   EXPECT_FALSE(mine.empty());
   for (const auto& event : mine) EXPECT_EQ(event.job, id);
-  // Renderings contain the job id and parse as CSV.
+  // The rendering names the job; the JSONL export has one object per event.
   EXPECT_NE(trace.render().find("job-"), std::string::npos);
-  EXPECT_NE(trace.to_csv().find("when_s,job,kind,detail"), std::string::npos);
+  const std::string jsonl = trace.to_jsonl();
+  std::size_t lines = 0;
+  for (std::size_t pos = 0; pos < jsonl.size(); ++lines) {
+    const std::size_t end = jsonl.find('\n', pos);
+    ASSERT_NE(end, std::string::npos);
+    EXPECT_EQ(jsonl.compare(pos, 9, "{\"ts_us\":"), 0);
+    EXPECT_EQ(jsonl[end - 1], '}');
+    pos = end + 1;
+  }
+  EXPECT_EQ(lines, trace.events().size());
 }
 
 TEST_F(BrokerFixture, TraceRecordsResubmissions) {
   GridScenarioConfig config = default_config();
   config.sites = 2;
   config.nodes_per_site = 1;
+  obs::Observability obs;  // outlives the broker
   GridScenario grid{config};
-  JobTrace trace;
-  grid.broker().set_trace(&trace);
+  grid.broker().set_observability(&obs);
 
   Outcome outcome;
   const JobId id = grid.broker().submit(
@@ -665,7 +695,7 @@ TEST_F(BrokerFixture, TraceRecordsResubmissions) {
     if (grid.site(i).id() == first_site) grid.take_site_offline(i);
   }
   grid.sim().run_until(SimTime::from_seconds(2000));
-  EXPECT_GE(trace.count("resubmit"), 1u);
+  EXPECT_GE(obs.tracer.count(obs::TraceEventKind::kResubmitted), 1u);
 }
 
 TEST_F(BrokerFixture, BspWorkloadGatedBySlowestRank) {

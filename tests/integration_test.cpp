@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "broker/grid_scenario.hpp"
+#include "obs/observability.hpp"
 #include "util/stats.hpp"
 #include "stream/grid_console.hpp"
 
@@ -231,11 +232,11 @@ TEST(IntegrationTest, GrandTourEverySubsystemTogether) {
   config.customize_site = [](int index, lrms::SiteConfig& site) {
     site.cpu_speed = index == 0 ? 1.0 : 0.8;  // heterogeneous
   };
+  obs::Observability obs;  // outlives the broker
   broker::GridScenario grid{config};
   grid.register_user(UserId{1}, "batch-owner");
   grid.register_user(UserId{2}, "physicist");
-  broker::JobTrace trace;
-  grid.broker().set_trace(&trace);
+  grid.broker().set_observability(&obs);
 
   // Saturate with batch work (agents appear on all four nodes).
   int batch_completed = 0;
@@ -308,9 +309,14 @@ TEST(IntegrationTest, GrandTourEverySubsystemTogether) {
   grid.sim().run_until(SimTime::from_seconds(40000));
   EXPECT_EQ(batch_completed, 4);
   // ...and the trace recorded the whole story.
-  EXPECT_GE(trace.count("submitted"), 5u);
-  EXPECT_GE(trace.count("agent"), 4u);
-  EXPECT_GE(trace.count("match"), 8u);
+  using Kind = obs::TraceEventKind;
+  EXPECT_GE(obs.tracer.count(Kind::kSubmitted), 5u);
+  EXPECT_GE(obs.tracer.count(Kind::kAgentDeployed) +
+                obs.tracer.count(Kind::kAgentSuspected) +
+                obs.tracer.count(Kind::kAgentRestored) +
+                obs.tracer.count(Kind::kAgentDied),
+            4u);
+  EXPECT_GE(obs.tracer.count(Kind::kMatched), 8u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // the recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -165,6 +167,199 @@ TEST(JobTracerTest, ExportsAreWellFormed) {
   const std::string chrome = tracer.to_chrome_trace();
   EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(chrome.find("\"ph\""), std::string::npos);
+}
+
+// ------------------------------------------------- tracer block storage ----
+
+/// The tracer stores events in blocks of 4096; this many events span five
+/// full blocks and a partial sixth, so every query and export walks several
+/// block boundaries.
+constexpr std::size_t kMultiBlockEvents = 5 * 4096 + 123;
+
+bool same_event(const JobTraceEvent& a, const JobTraceEvent& b) {
+  return a.when == b.when && a.job == b.job && a.kind == b.kind &&
+         a.detail == b.detail && a.attrs == b.attrs;
+}
+
+/// The i-th event of a deterministic mix of kinds, jobs (some grid-global)
+/// and attribute sets.
+JobTraceEvent mixed_event(std::size_t i) {
+  static constexpr std::array kKinds{
+      TraceEventKind::kSubmitted, TraceEventKind::kMatched,
+      TraceEventKind::kStarted, TraceEventKind::kInfo,
+      TraceEventKind::kCompleted};
+  JobTraceEvent e;
+  e.when = SimTime::micros(static_cast<std::int64_t>(i) * 7);
+  e.job = i % 11 == 0 ? JobId::none() : JobId{1 + i % 13};
+  e.kind = kKinds[i % kKinds.size()];
+  e.detail = i % 4 == 0 ? "" : "event " + std::to_string(i);
+  if (i % 3 == 0) e.attrs = LabelSet{{"site", std::to_string(i % 5)}};
+  return e;
+}
+
+TEST(JobTracerTest, BlockStorageAgreesWithAPlainVector) {
+  JobTracer tracer;
+  std::vector<JobTraceEvent> oracle;
+  for (std::size_t i = 0; i < kMultiBlockEvents; ++i) {
+    JobTraceEvent e = mixed_event(i);
+    tracer.record(e.when, e.job, e.kind, e.detail, e.attrs);
+    oracle.push_back(std::move(e));
+  }
+
+  // Indexing and iteration see the vector's sequence.
+  ASSERT_EQ(tracer.events().size(), oracle.size());
+  std::size_t walked = 0;
+  for (const JobTraceEvent& e : tracer.events()) {
+    ASSERT_TRUE(same_event(e, oracle[walked])) << walked;
+    ASSERT_EQ(&e, &tracer.events()[walked]) << walked;
+    ++walked;
+  }
+  EXPECT_EQ(walked, oracle.size());
+
+  const auto expect_same = [](const std::vector<JobTraceEvent>& got,
+                              const std::vector<JobTraceEvent>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(same_event(got[i], want[i])) << i;
+    }
+  };
+  for (std::size_t k = 0; k < 5; ++k) {
+    const TraceEventKind kind = mixed_event(k).kind;
+    std::vector<JobTraceEvent> want;
+    for (const auto& e : oracle) {
+      if (e.kind == kind) want.push_back(e);
+    }
+    EXPECT_EQ(tracer.count(kind), want.size());
+    expect_same(tracer.of_kind(kind), want);
+  }
+  for (std::uint64_t j = 0; j <= 13; ++j) {
+    const JobId job{j};
+    std::vector<JobTraceEvent> want;
+    for (const auto& e : oracle) {
+      if (e.job == job) want.push_back(e);
+    }
+    expect_same(tracer.for_job(job), want);
+    for (std::size_t k = 0; k < 5; ++k) {
+      const TraceEventKind kind = mixed_event(k).kind;
+      const JobTraceEvent* found = tracer.first(job, kind);
+      const auto it = std::find_if(
+          oracle.begin(), oracle.end(), [&](const JobTraceEvent& e) {
+            return e.job == job && e.kind == kind;
+          });
+      if (it == oracle.end()) {
+        EXPECT_EQ(found, nullptr);
+      } else {
+        EXPECT_EQ(found, &tracer.events()[static_cast<std::size_t>(
+                             it - oracle.begin())]);
+      }
+    }
+  }
+
+  // Exports: the documented line formats over the vector, in order.
+  std::string render;
+  std::string jsonl;
+  for (const auto& e : oracle) {
+    render += std::to_string(e.when.count_micros()) + "us " +
+              (e.job.valid() ? "job-" + std::to_string(e.job.value())
+                             : std::string{"grid"}) +
+              ' ' + std::string{obs::to_string(e.kind)} +
+              (e.detail.empty() ? "" : ": " + e.detail) +
+              (e.attrs.empty() ? "" : ' ' + e.attrs.to_string()) + '\n';
+    const std::string* site = e.attrs.find("site");
+    jsonl += "{\"ts_us\":" + std::to_string(e.when.count_micros()) +
+             ",\"job\":" + std::to_string(e.job.value()) + ",\"kind\":\"" +
+             std::string{obs::to_string(e.kind)} + "\",\"detail\":\"" +
+             e.detail + "\",\"attrs\":{" +
+             (site != nullptr ? "\"site\":\"" + *site + "\"" : "") + "}}\n";
+  }
+  EXPECT_EQ(tracer.render(), render);
+  EXPECT_EQ(tracer.to_jsonl(), jsonl);
+}
+
+TEST(JobTracerTest, RecordedEventsNeverMove) {
+  JobTracer tracer;
+  const JobTraceEvent* first_seen = nullptr;
+  tracer.subscribe([&first_seen](const JobTraceEvent& e) {
+    if (first_seen == nullptr) first_seen = &e;
+  });
+  tracer.record(SimTime::from_seconds(1), JobId{1}, TraceEventKind::kSubmitted,
+                "first", {{"site", "3"}});
+  ASSERT_NE(first_seen, nullptr);
+  for (std::uint64_t i = 0; i < 100000; ++i) {
+    tracer.record(SimTime::from_seconds(2), JobId{2 + i % 5},
+                  TraceEventKind::kInfo, "filler " + std::to_string(i));
+  }
+  ASSERT_EQ(tracer.events().size(), 100001u);
+  EXPECT_EQ(&tracer.events()[0], first_seen);
+  EXPECT_EQ(first_seen->when, SimTime::from_seconds(1));
+  EXPECT_EQ(first_seen->job, JobId{1});
+  EXPECT_EQ(first_seen->kind, TraceEventKind::kSubmitted);
+  EXPECT_EQ(first_seen->detail, "first");
+  ASSERT_NE(first_seen->attrs.find("site"), nullptr);
+  EXPECT_EQ(*first_seen->attrs.find("site"), "3");
+}
+
+TEST(JobTracerTest, ListenersMayRecordSubscribeAndUnsubscribeWhileBlocksGrow) {
+  JobTracer tracer;
+  int doomed_seen = 0;
+  const auto doomed = tracer.subscribe(
+      TraceEventKind::kInfo, [&doomed_seen](const JobTraceEvent&) { ++doomed_seen; });
+  int late_seen = 0;
+  std::size_t intact = 0;
+  // Every submission is echoed as an info event from inside its own
+  // delivery, so nested appends cross block boundaries while the outer
+  // event is still being delivered. Halfway through, the echo listener
+  // subscribes a new listener and drops the info listener.
+  tracer.subscribe(TraceEventKind::kSubmitted, [&](const JobTraceEvent& e) {
+    const std::string expected = "job " + std::to_string(e.job.value());
+    tracer.record(e.when, e.job, TraceEventKind::kInfo, "echo " + e.detail);
+    if (e.kind == TraceEventKind::kSubmitted && e.detail == expected) ++intact;
+    if (e.job == JobId{5000}) {
+      tracer.subscribe([&late_seen](const JobTraceEvent&) { ++late_seen; });
+      tracer.unsubscribe(doomed);
+    }
+  });
+  constexpr std::uint64_t kJobs = 10000;
+  for (std::uint64_t j = 1; j <= kJobs; ++j) {
+    tracer.record(SimTime::micros(static_cast<std::int64_t>(j)), JobId{j},
+                  TraceEventKind::kSubmitted, "job " + std::to_string(j));
+  }
+  ASSERT_EQ(tracer.events().size(), 2 * kJobs);
+  EXPECT_EQ(intact, kJobs);
+  EXPECT_EQ(doomed_seen, 5000);  // echoes of jobs 1..5000
+  EXPECT_EQ(late_seen, 10000);   // both events of jobs 5001..10000
+  for (std::uint64_t j = 1; j <= kJobs; ++j) {
+    const auto& submitted = tracer.events()[2 * (j - 1)];
+    const auto& echo = tracer.events()[2 * (j - 1) + 1];
+    ASSERT_EQ(submitted.kind, TraceEventKind::kSubmitted);
+    ASSERT_EQ(echo.kind, TraceEventKind::kInfo);
+    ASSERT_EQ(echo.job, JobId{j});
+    ASSERT_EQ(echo.detail, "echo job " + std::to_string(j));
+  }
+}
+
+TEST(JobTracerTest, ListenerMaySubscribeAndUnsubscribeItselfMidCallback) {
+  // One small capture, so the listener is stored inline in its
+  // std::function: a subscription list that moved or freed it while it
+  // runs would show up as a use after free on the reads that follow.
+  struct Probe {
+    JobTracer tracer;
+    JobTracer::SubscriptionId self = 0;
+    int calls = 0;
+    int late_calls = 0;
+  };
+  Probe p;
+  p.self = p.tracer.subscribe([&p](const JobTraceEvent&) {
+    p.tracer.subscribe([&p](const JobTraceEvent&) { ++p.late_calls; });
+    ++p.calls;
+    p.tracer.unsubscribe(p.self);
+    ++p.calls;
+  });
+  for (int i = 0; i < 3; ++i) {
+    p.tracer.record(SimTime::micros(i), JobId{1}, TraceEventKind::kInfo, "");
+  }
+  EXPECT_EQ(p.calls, 2);       // only the first event: then it left
+  EXPECT_EQ(p.late_calls, 2);  // added during event 1, sees events 2 and 3
 }
 
 // ------------------------------------------------- facade + determinism ----

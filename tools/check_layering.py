@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Layering gate for the control plane.
+"""Layering gate for the control plane and the trace.
 
 Every simulated control-plane exchange must go through net::ControlBus —
 no layer above src/net may touch sim::Network links directly or hand-roll
 channel-latency delivery schedules. This script greps the source tree for
 the patterns the bus refactor eliminated and fails readably if any creep
 back in.
+
+One trace recorder: obs::JobTracer is the run's only trace. The deleted
+string-kind Logging & Bookkeeping log (the JobTrace class, Grid::trace_log,
+broker/job_trace.hpp) must not reappear anywhere under src/, tests/, bench/
+or examples/, comments included.
 
 Allowed layers:
   * src/net   — the bus itself (the one place link latency is applied)
@@ -39,6 +44,11 @@ RAW_IS_UP = re.compile(r"\.\s*is_up\s*\(")
 # latency is exactly what ControlBus::send() centralizes.
 MANUAL_DELAY = re.compile(r"schedule\s*\([^;]*channel_latency")
 
+# The second trace recorder. Word boundaries let JobTracer and JobTraceEvent
+# through.
+SECOND_TRACE = re.compile(r"\bJobTrace\b|\btrace_log\b|job_trace\.hpp")
+TRACE_SCAN_DIRS = ("src", "tests", "bench", "examples")
+
 
 def allowed(rel: pathlib.PurePosixPath) -> bool:
     return len(rel.parts) >= 2 and rel.parts[1] in ALLOWED_LINK_LAYERS
@@ -71,10 +81,32 @@ def scan(root: pathlib.Path) -> list[str]:
     return violations
 
 
+def scan_second_trace(root: pathlib.Path) -> list[str]:
+    violations = []
+    for top in TRACE_SCAN_DIRS:
+        base = root / top
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            rel = path.relative_to(root).as_posix()
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if SECOND_TRACE.search(line):
+                    violations.append(
+                        f"{rel}:{lineno}: second trace recorder "
+                        f"(record into obs::JobTracer)\n    {line.strip()}")
+    return violations
+
+
 def main() -> int:
     root = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path(".")
-    violations = scan(root.resolve())
+    root = root.resolve()
+    failed = False
+    violations = scan(root)
     if violations:
+        failed = True
         print("[FAIL] control-plane layering violations:")
         for v in violations:
             print("  " + v)
@@ -82,9 +114,21 @@ def main() -> int:
             f"\n{len(violations)} violation(s). All broker/agent/site "
             "traffic must flow through net::ControlBus (docs/protocol.md)."
         )
-        return 1
-    print("[ok]   no raw network access outside src/net (data plane exempt)")
-    return 0
+    else:
+        print("[ok]   no raw network access outside src/net (data plane exempt)")
+    violations = scan_second_trace(root)
+    if violations:
+        failed = True
+        print("[FAIL] one trace recorder:")
+        for v in violations:
+            print("  " + v)
+        print(
+            f"\n{len(violations)} violation(s). obs::JobTracer is the only "
+            "trace (docs/observability.md)."
+        )
+    else:
+        print("[ok]   one trace recorder: obs::JobTracer")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
