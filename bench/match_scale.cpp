@@ -1,9 +1,11 @@
 // Matchmaking scale benchmark: runs the same deterministic workload through
-// the legacy path (per-site ClassAd rebuild + AST interpretation over every
-// published record) and the fast path (cached machine views, compiled
-// Requirements/Rank, free-CPU + health index pruning, fused filter+select),
-// asserts both produce byte-identical decision digests — with SiteHealth
-// scoring active and nontrivial throughout — and reports throughput.
+// the legacy ClassAd oracle (tests/oracle: per-site ClassAd rebuild + AST
+// interpretation over every published record) and the product matchmaker
+// (cached machine views, compiled Requirements/Rank, free-CPU + health index
+// pruning, fused filter+select), asserts both produce byte-identical decision
+// digests — with SiteHealth scoring active and nontrivial throughout — and
+// reports throughput. The "legacy" columns are the oracle's, the "fast"
+// columns the product's.
 //
 // Usage:
 //   match_scale                 full sweep (sites {100,1000,10000} x jobs)
@@ -20,6 +22,7 @@
 
 #include "broker/matchmaker.hpp"
 #include "infosys/information_system.hpp"
+#include "oracle/legacy_matchmaker.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -89,14 +92,15 @@ struct RunResult {
 };
 
 /// Runs `jobs` matchmaking rounds against `n_sites` published sites through
-/// one path. Every decision (including "no match") folds into the digest;
-/// matched jobs acquire a lease (with deterministic release churn) so the
-/// free-CPU index sees deltas of both signs mid-run, and every 16th job a
-/// site republishes with shifted load to exercise cache invalidation.
-/// SiteHealth runs hot the whole time: a deterministic pre-seeded spread of
-/// hard-excluded, penalized, and tie-biased sites plus in-loop miss/reward
-/// churn, identical on both paths — the digest assertion therefore covers
-/// suspicion-aware placement (including the fast path's index pruning).
+/// the product (`fast`) or the oracle. Every decision (including "no match")
+/// folds into the digest; matched jobs acquire a lease (with deterministic
+/// release churn) so the free-CPU index sees deltas of both signs mid-run,
+/// and every 16th job a site republishes with shifted load to exercise cache
+/// invalidation. SiteHealth runs hot the whole time: a deterministic
+/// pre-seeded spread of hard-excluded, penalized, and tie-biased sites plus
+/// in-loop miss/reward churn, identical on both sides — the digest assertion
+/// therefore covers suspicion-aware placement (including the product's
+/// index pruning).
 RunResult run_path(std::size_t n_sites, std::size_t jobs, bool fast) {
   sim::Simulation sim;
   infosys::InformationSystemConfig icfg;
@@ -107,9 +111,7 @@ RunResult run_path(std::size_t n_sites, std::size_t jobs, bool fast) {
   leases.set_observer(
       [&is](SiteId site, int delta) { is.apply_lease_delta(site, delta); });
   SiteHealth health{sim};
-  MatchmakerConfig mc;
-  mc.use_fast_path = fast;
-  Matchmaker mm{mc};
+  Matchmaker mm;
   mm.set_site_health(&health);
   is.set_health_provider(
       [&health](SiteId site, SimTime delivery_time) {
@@ -159,7 +161,8 @@ RunResult run_path(std::size_t n_sites, std::size_t jobs, bool fast) {
           });
     } else {
       is.query_index([&](std::vector<infosys::SiteRecord> records) {
-        const auto candidates = mm.filter(desc, records, leases, needed);
+        const auto candidates =
+            oracle::filter(desc, records, leases, needed, &health);
         if (const auto site = mm.select(candidates, rng)) {
           for (const auto& c : candidates) {
             if (c.site == *site) picked = c;
@@ -266,7 +269,7 @@ int main(int argc, char** argv) {
     combos = {{100, 128}, {1000, 128}, {10000, 64}};
   }
 
-  std::cout << "== match_scale: legacy vs fast matchmaking ==\n";
+  std::cout << "== match_scale: legacy oracle vs fast product matchmaking ==\n";
   std::vector<Row> rows;
   bool diverged = false;
   for (const auto& [sites, jobs] : combos) {
@@ -298,7 +301,7 @@ int main(int argc, char** argv) {
   std::cout << table.render() << "\n";
   if (!json_path.empty()) write_json(json_path, rows);
   std::cout << (diverged
-                    ? "[MISS] fast path diverged from legacy decisions\n"
-                    : "[ok]   identical decisions on both paths\n");
+                    ? "[MISS] product diverged from the oracle's decisions\n"
+                    : "[ok]   identical decisions in product and oracle\n");
   return diverged ? 1 : 0;
 }

@@ -1,12 +1,12 @@
-// CandidateSource: a non-owning view unifying the two record-container
-// shapes matchmaking scans — owned SiteRecord vectors (fresh per-site
-// queries, legacy index replies) and shared IndexSnapshot pointer vectors
-// (fast-path index replies). The matchmaker's coarse filter and fused
-// match run over this one view, so site-health consultation and every other
-// per-record policy lives in exactly one implementation instead of a
-// template instantiated per container shape.
+// CandidateSource: a non-owning view unifying the record-container shapes
+// matchmaking scans — owned SiteRecord vectors (fresh per-site queries) and
+// shared IndexSnapshot pointer vectors (index replies, whole or screened by
+// the broker). The matchmaker's coarse filter and fused match run over this
+// one view, so site-health consultation and every other per-record policy
+// lives in exactly one implementation instead of a template instantiated per
+// container shape.
 //
-// The view is implicitly constructible from both containers and is only
+// The view is implicitly constructible from each container and is only
 // valid while the viewed container lives; matchmaker calls consume it
 // within the call, never store it.
 #pragma once

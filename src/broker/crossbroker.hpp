@@ -229,7 +229,7 @@ private:
     bool queue_timer_armed = false;
     bool staging_out = false;  ///< OutputSandbox transfer in progress
     /// Requirements/Rank compiled once per job, reused across scheduling
-    /// attempts and resubmissions (fast path only).
+    /// attempts and resubmissions.
     std::shared_ptr<const jdl::CompiledMatch> compiled_match;
     /// Runtime barrier coordination for BSP workloads (multi-rank only).
     std::unique_ptr<mpijob::RuntimeBarrierCoordinator> barrier_coordinator;
@@ -279,18 +279,18 @@ private:
   // -- pipeline ------------------------------------------------------------
   void schedule_job(JobId id);
   void begin_discovery(JobId id);
-  void begin_selection(JobId id, std::vector<infosys::SiteRecord> stale_records);
-  /// Fast-path variant: the shared index snapshot is scanned in place —
-  /// neither the records nor their shared_ptrs are copied.
+  /// The shared index snapshot is scanned in place — neither the records
+  /// nor their shared_ptrs are copied.
   void begin_selection(
       JobId id,
       std::shared_ptr<const infosys::InformationSystem::IndexSnapshot> stale);
-  /// Common tail of both begin_selection overloads: fresh per-site queries
-  /// over the coarse survivors, then the final filter + placement.
+  /// Fresh per-site queries over the coarse survivors, then the final
+  /// filter + placement.
   void continue_selection(JobId id, std::vector<SiteId> coarse);
-  /// `preselected` carries the fused filter+select decision of the fast
-  /// path for sequential jobs; absent, the sequential branch selects from
-  /// `fresh_candidates` itself (legacy path, or no match -> no resources).
+  /// `preselected` carries match_one's fused filter+select decision for
+  /// sequential jobs; absent, the sequential branch selects from
+  /// `fresh_candidates` itself (shared interactive jobs, or no match -> no
+  /// resources).
   void place_job(JobId id, std::vector<Candidate> fresh_candidates,
                  std::optional<Candidate> preselected = std::nullopt);
   void handle_no_resources(JobId id);

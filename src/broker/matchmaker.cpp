@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "jdl/eval.hpp"
-
 namespace cg::broker {
 
 namespace {
@@ -33,101 +31,70 @@ double Matchmaker::health_penalty(SiteId site) const {
   return health_ != nullptr ? health_->rank_penalty(site) : 0.0;
 }
 
-std::vector<Candidate> Matchmaker::filter(
-    const jdl::JobDescription& job, const std::vector<infosys::SiteRecord>& records,
-    const LeaseManager& leases, int needed_cpus) const {
-  if (config_.use_fast_path) {
-    return filter_compiled(*compile(job), records, leases, needed_cpus);
-  }
-  std::vector<Candidate> out;
-  out.reserve(records.size());
-  std::size_t excluded = 0;
-  for (const auto& record : records) {
-    const int effective =
-        record.dynamic_info.free_cpus - leases.leased_cpus(record.static_info.id);
-    if (effective < needed_cpus) continue;
-    if (health_excluded(record.static_info.id, excluded)) continue;
-
-    jdl::ClassAd machine = record.to_classad();
-    machine.set_int("FreeCPUs", effective);  // leases shadow the raw count
-    if (!jdl::symmetric_match(job.ad(), machine)) continue;
-
-    Candidate c;
-    c.site = record.static_info.id;
-    c.effective_free_cpus = effective;
-    c.rank = rank_of(job, machine) - health_penalty(c.site);
-    out.push_back(c);
-  }
-  note_scan("fresh", records.size(), 0, 0, excluded, !out.empty());
-  return out;
-}
-
-std::vector<Candidate> Matchmaker::filter_compiled(
-    const jdl::CompiledMatch& compiled,
-    const std::vector<infosys::SiteRecord>& records, const LeaseManager& leases,
-    int needed_cpus) const {
-  std::vector<Candidate> out;
+template <typename OnMatch>
+void Matchmaker::scan(const char* pass, const jdl::CompiledMatch& compiled,
+                      CandidateSource records, const LeaseManager& leases,
+                      int needed_cpus, OnMatch&& on_match) const {
   if (compiled.never_matches()) {
-    note_scan("fresh", 0, 0, 0);
-    return out;
+    note_scan(pass, 0, 0, 0);
+    return;
   }
-  out.reserve(records.size());
   std::size_t hits = 0;
   std::size_t misses = 0;
   std::size_t excluded = 0;
-  for (const auto& record : records) {
+  bool matched = false;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const infosys::SiteRecord& record = records[i];
+    const SiteId site = record.static_info.id;
     const int effective =
-        record.dynamic_info.free_cpus - leases.leased_cpus(record.static_info.id);
+        record.dynamic_info.free_cpus - leases.leased_cpus(site);
     if (effective < needed_cpus) continue;
-    if (health_excluded(record.static_info.id, excluded)) continue;
+    if (health_excluded(site, excluded)) continue;
 
     record.cache_primed() ? ++hits : ++misses;
     const auto ctx = slot_context(record.machine_view(), effective);
     if (!compiled.matches(ctx)) continue;
-
-    Candidate c;
-    c.site = record.static_info.id;
-    c.effective_free_cpus = effective;
-    c.rank = (compiled.has_rank() ? compiled.rank(ctx)
-                                  : static_cast<double>(effective)) -
-             health_penalty(c.site);
-    out.push_back(c);
+    matched = true;
+    on_match(site, effective, ctx);
   }
-  note_scan("fresh", records.size(), hits, misses, excluded, !out.empty());
+  note_scan(pass, records.size(), hits, misses, excluded, matched);
+}
+
+Candidate Matchmaker::candidate(const jdl::CompiledMatch& compiled, SiteId site,
+                                int effective,
+                                const jdl::SlotEvalContext& ctx) const {
+  Candidate c;
+  c.site = site;
+  c.effective_free_cpus = effective;
+  c.rank = (compiled.has_rank() ? compiled.rank(ctx)
+                                : static_cast<double>(effective)) -
+           health_penalty(site);
+  return c;
+}
+
+std::vector<Candidate> Matchmaker::filter(
+    const jdl::CompiledMatch& compiled,
+    const std::vector<infosys::SiteRecord>& records, const LeaseManager& leases,
+    int needed_cpus) const {
+  std::vector<Candidate> out;
+  out.reserve(records.size());
+  scan("fresh", compiled, records, leases, needed_cpus,
+       [&](SiteId site, int effective, const jdl::SlotEvalContext& ctx) {
+         out.push_back(candidate(compiled, site, effective, ctx));
+       });
   return out;
 }
 
-std::vector<SiteId> Matchmaker::filter_sites(
-    const jdl::JobDescription& job, const jdl::CompiledMatch* compiled,
-    CandidateSource records, const LeaseManager& leases, int needed_cpus) const {
+std::vector<SiteId> Matchmaker::filter_sites(const jdl::CompiledMatch& compiled,
+                                             CandidateSource records,
+                                             const LeaseManager& leases,
+                                             int needed_cpus) const {
   std::vector<SiteId> out;
-  if (compiled != nullptr && compiled->never_matches()) {
-    note_scan("coarse", 0, 0, 0);
-    return out;
-  }
   out.reserve(records.size());
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t excluded = 0;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const infosys::SiteRecord& record = records[i];
-    const int effective =
-        record.dynamic_info.free_cpus - leases.leased_cpus(record.static_info.id);
-    if (effective < needed_cpus) continue;
-    if (health_excluded(record.static_info.id, excluded)) continue;
-    if (compiled != nullptr) {
-      record.cache_primed() ? ++hits : ++misses;
-      if (!compiled->matches(slot_context(record.machine_view(), effective))) {
-        continue;
-      }
-    } else {
-      jdl::ClassAd machine = record.to_classad();
-      machine.set_int("FreeCPUs", effective);
-      if (!jdl::symmetric_match(job.ad(), machine)) continue;
-    }
-    out.push_back(record.static_info.id);
-  }
-  note_scan("coarse", records.size(), hits, misses, excluded, !out.empty());
+  scan("coarse", compiled, records, leases, needed_cpus,
+       [&](SiteId site, int, const jdl::SlotEvalContext&) {
+         out.push_back(site);
+       });
   return out;
 }
 
@@ -146,63 +113,26 @@ std::optional<Candidate> Matchmaker::match_one(
   // running best (rank_tie_margin < 1), pruning on each best-raise leaves
   // the same tie set select() would compute from the full candidate vector.
   std::vector<Candidate> ties;
-  if (compiled.never_matches()) {
-    note_scan("fresh", 0, 0, 0);
-    return std::nullopt;
-  }
   double best = 0.0;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t excluded = 0;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const infosys::SiteRecord& record = records[i];
-    const int effective =
-        record.dynamic_info.free_cpus - leases.leased_cpus(record.static_info.id);
-    if (effective < needed_cpus) continue;
-    if (health_excluded(record.static_info.id, excluded)) continue;
-
-    record.cache_primed() ? ++hits : ++misses;
-    const auto ctx = slot_context(record.machine_view(), effective);
-    if (!compiled.matches(ctx)) continue;
-
-    const double rank = (compiled.has_rank() ? compiled.rank(ctx)
-                                             : static_cast<double>(effective)) -
-                        health_penalty(record.static_info.id);
-    Candidate c;
-    c.site = record.static_info.id;
-    c.effective_free_cpus = effective;
-    c.rank = rank;
-    if (ties.empty() || rank > best) {
-      best = rank;
-      std::erase_if(ties, [&](const Candidate& t) { return !is_tie(best, t.rank); });
-      ties.push_back(c);
-    } else if (is_tie(best, rank)) {
-      ties.push_back(c);
-    }
-  }
-  note_scan("fresh", records.size(), hits, misses, excluded, !ties.empty());
+  scan("fresh", compiled, records, leases, needed_cpus,
+       [&](SiteId site, int effective, const jdl::SlotEvalContext& ctx) {
+         const Candidate c = candidate(compiled, site, effective, ctx);
+         if (ties.empty() || c.rank > best) {
+           best = c.rank;
+           std::erase_if(ties, [&](const Candidate& t) {
+             return !is_tie(best, t.rank);
+           });
+           ties.push_back(c);
+         } else if (is_tie(best, c.rank)) {
+           ties.push_back(c);
+         }
+       });
   if (ties.empty()) return std::nullopt;
   // Same rng consumption as select(): exactly one pick for a non-empty
   // candidate set when randomized tie-breaking is on.
   const Candidate& chosen =
       config_.randomize_ties ? ties[rng.pick_index(ties.size())] : ties.front();
   return chosen;
-}
-
-double Matchmaker::rank_of(const jdl::JobDescription& job,
-                           const jdl::ClassAd& machine) const {
-  const jdl::ExprPtr rank_expr = job.rank();
-  if (rank_expr) {
-    jdl::EvalContext ctx;
-    ctx.self = &job.ad();
-    ctx.other = &machine;
-    const jdl::Value v = jdl::evaluate(*rank_expr, ctx);
-    if (v.is_number()) return v.as_number();
-    return 0.0;  // non-numeric rank: neutral
-  }
-  // Default rank: prefer emptier sites.
-  const auto free = machine.get_int("FreeCPUs");
-  return free ? static_cast<double>(*free) : 0.0;
 }
 
 std::optional<SiteId> Matchmaker::select(const std::vector<Candidate>& candidates,

@@ -11,8 +11,9 @@
 // Determinism contract: all timestamps are virtual (sim.now()), every update
 // is driven by simulation events, and queries are pure functions of
 // (recorded score, recorded time, query time) — same-seed runs see identical
-// health state at identical virtual times, which is what keeps the fast and
-// legacy matchmaking paths decision-digest identical with scoring active.
+// health state at identical virtual times, which is what keeps the product
+// matchmaker and its interpreted oracle decision-digest identical with
+// scoring active.
 //
 // Pruning invariant (relied on by InformationSystem::query_index_matching,
 // which prunes at *call* time for a reply delivered one index latency

@@ -5,8 +5,7 @@ namespace cg::infosys {
 namespace {
 
 // The machine-ad schema. Attribute order here defines the slot layout;
-// make_slots() and SiteRecord::to_classad must list the same attributes in
-// the same order.
+// make_slots() must list the same attributes in the same order.
 constexpr const char* kMachineAttrs[] = {
     "Name",        "Arch",       "OpSys",      "WorkerNodes",
     "CpusPerNode", "TotalCPUs",  "MemoryMB",   "StorageGB",
@@ -49,30 +48,12 @@ int machine_free_cpus_slot() {
   return slot;
 }
 
-jdl::ClassAd SiteRecord::to_classad() const {
-  jdl::ClassAd ad;
-  ad.set_string("Name", static_info.name);
-  ad.set_string("Arch", static_info.arch);
-  ad.set_string("OpSys", static_info.op_sys);
-  ad.set_int("WorkerNodes", static_info.worker_nodes);
-  ad.set_int("CpusPerNode", static_info.cpus_per_node);
-  ad.set_int("TotalCPUs", static_info.total_cpus());
-  ad.set_int("MemoryMB", static_info.memory_mb_per_node);
-  ad.set_int("StorageGB", static_info.storage_gb);
-  ad.set_int("FreeCPUs", dynamic_info.free_cpus);
-  ad.set_int("RunningJobs", dynamic_info.running_jobs);
-  ad.set_int("QueuedJobs", dynamic_info.queued_jobs);
-  ad.set_int("FreeInteractiveVMs", dynamic_info.free_interactive_vms);
-  return ad;
-}
-
 const SiteRecord::MachineView& SiteRecord::machine_view() const {
   if (!cache_primed()) {
     auto view = std::make_shared<MachineView>();
     view->static_info = static_info;
     view->dynamic_info = dynamic_info;
     view->slots = make_slots(static_info, dynamic_info);
-    view->ad = to_classad();
     cached_view_ = std::move(view);
   }
   return *cached_view_;

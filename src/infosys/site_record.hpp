@@ -1,13 +1,13 @@
 // Site descriptions as published to the information system. The broker's
-// matchmaking converts these to machine ClassAds; staleness between published
-// and live state is what forces the paper's two-step discovery+selection.
+// matchmaking evaluates job expressions against each record's machine view;
+// staleness between published and live state is what forces the paper's
+// two-step discovery+selection.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 
-#include "jdl/classad.hpp"
 #include "jdl/compiled_match.hpp"
 #include "util/ids.hpp"
 #include "util/time.hpp"
@@ -41,9 +41,9 @@ struct SiteDynamicInfo {
   [[nodiscard]] bool operator==(const SiteDynamicInfo&) const = default;
 };
 
-/// The dense attribute layout every machine ad follows (matchmaking fast
-/// path). Must stay in sync with SiteRecord::to_classad; compiled job
-/// expressions resolve `other.X` references against this layout.
+/// The dense attribute layout of a machine view: the machine attributes a
+/// job's Requirements/Rank may reference. Compiled job expressions resolve
+/// `other.X` references against this layout.
 [[nodiscard]] const jdl::SlotLayout& machine_slot_layout();
 
 /// Slot index of FreeCPUs in machine_slot_layout() — the one attribute the
@@ -57,17 +57,12 @@ struct SiteRecord {
     SiteStaticInfo static_info;    ///< inputs the view was built from
     SiteDynamicInfo dynamic_info;
     jdl::SlotValues slots;         ///< attribute values in layout order
-    jdl::ClassAd ad;               ///< equivalent ClassAd (legacy path/tests)
   };
 
   SiteStaticInfo static_info;
   SiteDynamicInfo dynamic_info;
   /// When the dynamic half was sampled (publication timestamp).
   SimTime sampled_at;
-
-  /// Machine ad used by the matchmaker (`other.*` in job Requirements).
-  /// Always builds a fresh ad; the fast path uses machine_view() instead.
-  [[nodiscard]] jdl::ClassAd to_classad() const;
 
   /// Cached machine view; rebuilt lazily when the record's fields no longer
   /// match the inputs the cache was built from (so stale caches can never

@@ -15,7 +15,7 @@
 //    logic of value.cpp).
 //
 // Exactness contract: for machine ads whose attributes are all literals in
-// the given SlotLayout (what SiteRecord::to_classad produces), evaluating
+// the given SlotLayout (a site record's machine attributes), evaluating
 // the compiled form equals evaluating the original AST with jdl::evaluate —
 // including the depth-64 recursion cutoff, which is replicated statically.
 #pragma once

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "broker/fault_bridge.hpp"
@@ -162,9 +163,7 @@ struct AgentCrashRun {
 };
 
 /// Timing-free projection of the trace: the sequence of decisions the broker
-/// took (job, kind, detail, attributes), without the virtual timestamps. The
-/// matchmaker fast path must make byte-identical decisions; only its internal
-/// latencies may differ.
+/// took (job, kind, detail, attributes), without the virtual timestamps.
 std::string decision_digest(const obs::JobTracer& tracer) {
   std::string out;
   for (const obs::JobTraceEvent& event : tracer.events()) {
@@ -180,13 +179,12 @@ std::string decision_digest(const obs::JobTracer& tracer) {
 /// the FaultPlan victim-query DSL ("agent_of(job:N)") and resolved at fire
 /// time by the FaultBridge. Recovery is opt-in via
 /// resubmit_interactive_on_agent_death.
-AgentCrashRun run_agent_crash_scenario(bool use_fast_path) {
+AgentCrashRun run_agent_crash_scenario() {
   obs::Observability obs;  // outlives the broker
   broker::GridScenarioConfig config;
   config.sites = 3;
   config.nodes_per_site = 2;
   config.broker.resubmit_interactive_on_agent_death = true;
-  config.broker.matchmaker.use_fast_path = use_fast_path;
   broker::GridScenario grid{config};
   grid.broker().set_observability(&obs);
 
@@ -229,18 +227,17 @@ AgentCrashRun run_agent_crash_scenario(bool use_fast_path) {
   return result;
 }
 
-/// The chaos scenarios run on both matchmaker paths: recovery decisions must
-/// not depend on which evaluation engine placed the jobs.
-class FaultInjectionPathTest : public ::testing::TestWithParam<bool> {};
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
-INSTANTIATE_TEST_SUITE_P(MatchmakerPaths, FaultInjectionPathTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& param) {
-                           return param.param ? "FastPath" : "LegacyPath";
-                         });
-
-TEST_P(FaultInjectionPathTest, AgentCrashMidJobResubmitsInteractiveWithinBackoff) {
-  const AgentCrashRun run = run_agent_crash_scenario(GetParam());
+TEST(FaultInjectionTest, AgentCrashMidJobResubmitsInteractiveWithinBackoff) {
+  const AgentCrashRun run = run_agent_crash_scenario();
   EXPECT_TRUE(run.interactive_completed);
   EXPECT_GE(run.interactive_resubmissions, 1);
   // The resubmission decision lands within the configured backoff bound of
@@ -252,25 +249,28 @@ TEST_P(FaultInjectionPathTest, AgentCrashMidJobResubmitsInteractiveWithinBackoff
             SimTime::from_seconds(300.0) + defaults.resubmit_backoff_max);
 }
 
-TEST_P(FaultInjectionPathTest, AgentCrashScenarioIsBitForBitReproducible) {
-  const AgentCrashRun a = run_agent_crash_scenario(GetParam());
-  const AgentCrashRun b = run_agent_crash_scenario(GetParam());
+TEST(FaultInjectionTest, AgentCrashScenarioIsBitForBitReproducible) {
+  const AgentCrashRun a = run_agent_crash_scenario();
+  const AgentCrashRun b = run_agent_crash_scenario();
   EXPECT_EQ(a.digest, b.digest);
 }
 
 TEST(FaultInjectionTest, AgentCrashDecisionsAgreeAcrossMatchmakerPaths) {
-  const AgentCrashRun fast = run_agent_crash_scenario(true);
-  const AgentCrashRun legacy = run_agent_crash_scenario(false);
-  EXPECT_EQ(fast.decisions, legacy.decisions);
-  EXPECT_EQ(fast.interactive_completed, legacy.interactive_completed);
-  EXPECT_EQ(fast.interactive_resubmissions, legacy.interactive_resubmissions);
+  // Recovery decisions must not depend on which evaluation engine placed
+  // the jobs: FNV-1a of the decision projection, pinned from the
+  // interpreted ClassAd matchmaker's run (which the compiled path matched
+  // byte for byte when both lived in the broker).
+  const AgentCrashRun run = run_agent_crash_scenario();
+  EXPECT_EQ(run.decisions.size(), 1372u);
+  EXPECT_EQ(fnv1a(run.decisions), 0x2b5a773fa92c81f6ULL);
+  EXPECT_TRUE(run.interactive_completed);
+  EXPECT_EQ(run.interactive_resubmissions, 1);
 }
 
-TEST_P(FaultInjectionPathTest, NodeCrashDuringExclusiveInteractiveRecovers) {
+TEST(FaultInjectionTest, NodeCrashDuringExclusiveInteractiveRecovers) {
   broker::GridScenarioConfig config;
   config.sites = 2;
   config.nodes_per_site = 2;
-  config.broker.matchmaker.use_fast_path = GetParam();
   broker::GridScenario grid{config};
 
   Outcome outcome;

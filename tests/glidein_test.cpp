@@ -371,8 +371,10 @@ TEST(AgentRegistryTest, CreateFindRemove) {
   EXPECT_NE(a.id(), b.id());
   EXPECT_EQ(registry.total_agents(), 2);
   EXPECT_EQ(registry.find(a.id()), &a);
-  registry.remove(a.id());
-  EXPECT_EQ(registry.find(a.id()), nullptr);
+  // remove() destroys the agent, so `a` dangles afterwards.
+  const AgentId removed = a.id();
+  registry.remove(removed);
+  EXPECT_EQ(registry.find(removed), nullptr);
   EXPECT_EQ(registry.total_agents(), 1);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "infosys/information_system.hpp"
+#include "jdl/eval.hpp"
+#include "oracle/legacy_matchmaker.hpp"
 
 namespace cg::infosys {
 namespace {
@@ -168,7 +170,7 @@ TEST_F(InfosysFixture, RegisterValidation) {
   EXPECT_THROW(is.register_site(make_site(1, 1), nullptr), std::invalid_argument);
 }
 
-TEST(SiteRecordTest, ToClassAdExportsMatchmakingAttributes) {
+SiteRecord sample_record() {
   SiteRecord r;
   r.static_info.id = SiteId{7};
   r.static_info.name = "ifca";
@@ -181,8 +183,11 @@ TEST(SiteRecordTest, ToClassAdExportsMatchmakingAttributes) {
   r.dynamic_info.free_cpus = 5;
   r.dynamic_info.queued_jobs = 3;
   r.dynamic_info.free_interactive_vms = 2;
+  return r;
+}
 
-  const jdl::ClassAd ad = r.to_classad();
+TEST(SiteRecordTest, ToClassAdExportsMatchmakingAttributes) {
+  const jdl::ClassAd ad = oracle::to_classad(sample_record());
   EXPECT_EQ(ad.get_string("Name"), "ifca");
   EXPECT_EQ(ad.get_string("Arch"), "i686");
   EXPECT_EQ(ad.get_int("TotalCPUs"), 20);
@@ -190,6 +195,24 @@ TEST(SiteRecordTest, ToClassAdExportsMatchmakingAttributes) {
   EXPECT_EQ(ad.get_int("QueuedJobs"), 3);
   EXPECT_EQ(ad.get_int("FreeInteractiveVMs"), 2);
   EXPECT_EQ(ad.get_int("MemoryMB"), 2048);
+}
+
+TEST(SiteRecordTest, MachineViewHoldsTheOracleClassAdValuesInSlotOrder) {
+  // The oracle's machine ad and the product's slot view describe the same
+  // machine: one layout slot per ad attribute, holding the same value.
+  const SiteRecord r = sample_record();
+  const jdl::ClassAd ad = oracle::to_classad(r);
+  const jdl::SlotLayout& layout = machine_slot_layout();
+  const jdl::SlotValues& slots = r.machine_view().slots;
+  ASSERT_EQ(ad.size(), layout.size());
+  ASSERT_EQ(slots.size(), layout.size());
+  for (const std::string& name : ad.names()) {
+    const int slot = layout.index_of(name);
+    ASSERT_GE(slot, 0) << name;
+    EXPECT_TRUE(jdl::evaluate_attr(ad, name)
+                    .same_as(slots[static_cast<std::size_t>(slot)]))
+        << name;
+  }
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
-// Fast-path matchmaking tests: compiled-expression semantics, the free-CPU
-// site index and its invalidation rules, fast-vs-legacy decision parity
-// (down to rng lockstep and byte-identical trace exports), and the metrics
-// the fast path emits. The legacy interpreter is the oracle throughout.
+// Matchmaking fast-path tests: compiled-expression semantics, the free-CPU
+// site index and its invalidation rules, decision parity with the
+// interpreted ClassAd oracle (fixed templates plus a seeded random-expression
+// property, down to rng lockstep), golden end-to-end trace digests, and the
+// metrics the matchmaker emits.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "broker/matchmaker.hpp"
 #include "grid/grid.hpp"
+#include "oracle/legacy_matchmaker.hpp"
 
 namespace cg::broker {
 namespace {
@@ -91,7 +96,7 @@ TEST(CompiledMatchTest, RankEvaluatesAgainstSlots) {
   EXPECT_EQ(compiled.rank(context_for(make_record(1, 5))), 11.0);
 }
 
-// ------------------------------------------------- fast/legacy parity ------
+// ------------------------------------------------- oracle parity ----------
 
 const std::vector<std::string>& job_templates() {
   static const std::vector<std::string> templates{
@@ -117,59 +122,279 @@ std::vector<infosys::SiteRecord> parity_records() {
   return records;
 }
 
-TEST(FastPathParityTest, FilterMatchesLegacyCandidateForCandidate) {
+/// Candidate-for-candidate equality: site, rank and effective free CPUs.
+void expect_same_candidates(const std::vector<Candidate>& got,
+                            const std::vector<Candidate>& expect,
+                            const std::string& context) {
+  ASSERT_EQ(got.size(), expect.size()) << context;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].site, expect[i].site) << context;
+    EXPECT_EQ(got[i].rank, expect[i].rank) << context;
+    EXPECT_EQ(got[i].effective_free_cpus, expect[i].effective_free_cpus)
+        << context;
+  }
+}
+
+TEST(OracleParityTest, FilterMatchesOracleCandidateForCandidate) {
   sim::Simulation sim;
   LeaseManager leases{sim};
   ASSERT_TRUE(leases.acquire(SiteId{5}, 2, 3600_s));  // shadow one site
-  MatchmakerConfig legacy_cfg;
-  legacy_cfg.use_fast_path = false;
-  const Matchmaker legacy{legacy_cfg};
-  const Matchmaker fast{MatchmakerConfig{}};  // fast path is the default
+  const Matchmaker product;
   const auto records = parity_records();
   for (const auto& tmpl : job_templates()) {
     for (const int needed : {1, 4}) {
       const auto job = make_job(tmpl);
-      const auto expect = legacy.filter(job, records, leases, needed);
-      const auto got = fast.filter(job, records, leases, needed);
-      ASSERT_EQ(got.size(), expect.size()) << tmpl << " needed=" << needed;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].site, expect[i].site) << tmpl;
-        EXPECT_EQ(got[i].rank, expect[i].rank) << tmpl;
-        EXPECT_EQ(got[i].effective_free_cpus, expect[i].effective_free_cpus)
-            << tmpl;
-      }
+      expect_same_candidates(
+          product.filter(*product.compile(job), records, leases, needed),
+          oracle::filter(job, records, leases, needed),
+          tmpl + " needed=" + std::to_string(needed));
     }
   }
 }
 
-TEST(FastPathParityTest, MatchOneEqualsFilterPlusSelectInRngLockstep) {
+TEST(OracleParityTest, MatchOneEqualsOracleFilterPlusSelectInRngLockstep) {
   sim::Simulation sim;
   LeaseManager leases{sim};
-  MatchmakerConfig legacy_cfg;
-  legacy_cfg.use_fast_path = false;
-  const Matchmaker legacy{legacy_cfg};
-  const Matchmaker fast{MatchmakerConfig{}};
+  const Matchmaker product;
   const auto records = parity_records();
   for (const auto& tmpl : job_templates()) {
     for (const int needed : {1, 4}) {
       for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL}) {
         const auto job = make_job(tmpl);
-        Rng legacy_rng{seed};
-        Rng fast_rng{seed};
-        const auto candidates = legacy.filter(job, records, leases, needed);
-        const auto expect = legacy.select(candidates, legacy_rng);
-        const auto compiled = fast.compile(job);
-        const auto got = fast.match_one(*compiled, CandidateSource{records},
-                                        leases, needed, fast_rng);
+        Rng oracle_rng{seed};
+        Rng product_rng{seed};
+        const auto expect = product.select(
+            oracle::filter(job, records, leases, needed), oracle_rng);
+        const auto compiled = product.compile(job);
+        const auto got = product.match_one(*compiled, CandidateSource{records},
+                                           leases, needed, product_rng);
         ASSERT_EQ(got.has_value(), expect.has_value()) << tmpl;
         if (expect) {
           EXPECT_EQ(got->site, *expect) << tmpl;
         }
-        // Both paths must have consumed the exact same number of draws.
-        EXPECT_EQ(fast_rng.next_u64(), legacy_rng.next_u64()) << tmpl;
+        // Both sides must have consumed the exact same number of draws.
+        EXPECT_EQ(product_rng.next_u64(), oracle_rng.next_u64()) << tmpl;
       }
     }
   }
+}
+
+// ------------------------------------------- seeded oracle-parity property --
+
+/// Random JDL Requirements/Rank source over every machine attribute, with
+/// boolean connectives, comparisons, arithmetic, string equality, undefined
+/// attributes and constant-foldable conjuncts. Integer leaves stay below
+/// 2^13 and products nest at most two deep, so no arithmetic overflows.
+class ExprGen {
+public:
+  explicit ExprGen(Rng& rng) : rng_{rng} {}
+
+  std::string requirements() {
+    // A conjunction spine, so the compiler's constant folding and conjunct
+    // splitting see site-independent and undefined conjuncts mixed in.
+    std::string out = boolean(2);
+    const auto extra = rng_.uniform_int(0, 2);
+    for (std::int64_t i = 0; i < extra; ++i) {
+      out += " && " + (rng_.chance(0.3) ? special() : boolean(1));
+    }
+    return out;
+  }
+
+  std::string rank() {
+    switch (rng_.uniform_int(0, 9)) {
+      case 0: return "\"not a number\"";  // non-numeric: neutral
+      case 1: return "other.FreeCPUs > 2";  // boolean: neutral
+      case 2: return "other.NoSuchAttr + 1";  // undefined: neutral
+      case 3: return std::to_string(rng_.uniform_int(-3, 3));
+      default: return number(2);
+    }
+  }
+
+private:
+  static constexpr const char* kIntAttrs[] = {
+      "WorkerNodes", "CpusPerNode",  "TotalCPUs",  "MemoryMB",
+      "StorageGB",   "FreeCPUs",     "RunningJobs", "QueuedJobs",
+      "FreeInteractiveVMs"};
+
+  template <std::size_t N>
+  const char* pick(const char* const (&items)[N]) {
+    return items[rng_.pick_index(N)];
+  }
+
+  std::string number(int depth) {
+    const auto choice = rng_.uniform_int(0, depth > 0 ? 7 : 2);
+    switch (choice) {
+      case 0: return std::string{"other."} + pick(kIntAttrs);
+      case 1: return std::to_string(rng_.uniform_int(0, 64));
+      case 2: return "self.MinMem";
+      case 3: return "(" + number(depth - 1) + " + " + number(depth - 1) + ")";
+      case 4: return "(" + number(depth - 1) + " - " + number(depth - 1) + ")";
+      case 5: return "(" + number(depth - 1) + " * " + number(depth - 1) + ")";
+      case 6: return "-" + number(depth - 1);
+      default: return std::string{"other."} + pick(kIntAttrs);
+    }
+  }
+
+  std::string comparison() {
+    static constexpr const char* kOps[] = {"<", "<=", ">", ">=", "==", "!="};
+    return number(2) + " " + pick(kOps) + " " + number(1);
+  }
+
+  std::string string_equality() {
+    static constexpr const char* kStrAttrs[] = {"Arch", "OpSys", "Name"};
+    static constexpr const char* kStrings[] = {
+        "\"i686\"", "\"x86_64\"", "\"linux-2.4\"", "\"linux-2.6\"",
+        "\"site3\"", "\"site5\""};
+    static constexpr const char* kEq[] = {"==", "!="};
+    return std::string{"other."} + pick(kStrAttrs) + " " + pick(kEq) + " " +
+           pick(kStrings);
+  }
+
+  /// Site-independent conjuncts the compiler folds to a constant, and
+  /// undefined attributes on either side.
+  std::string special() {
+    static constexpr const char* kSpecial[] = {
+        "true",
+        "false",
+        "1 + 1 == 2",
+        "2 < 1",
+        "self.MinMem >= 0",
+        "other.NoSuchAttr > 3",
+        "other.NoSuchAttr == \"x\"",
+        "self.Missing < other.FreeCPUs",
+        "(other.NoSuchAttr > 1 || other.FreeCPUs > 1)",
+        "!(other.NoSuchAttr > 1)"};
+    return pick(kSpecial);
+  }
+
+  std::string boolean(int depth) {
+    switch (rng_.uniform_int(0, depth > 0 ? 13 : 7)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+      case 4: return comparison();
+      case 5:
+      case 6: return string_equality();
+      case 7: return rng_.chance(0.5) ? special() : comparison();
+      case 8: return "!(" + boolean(depth - 1) + ")";
+      case 9:
+      case 10:
+        return "(" + boolean(depth - 1) + " && " + boolean(depth - 1) + ")";
+      default:
+        return "(" + boolean(depth - 1) + " || " + boolean(depth - 1) + ")";
+    }
+  }
+
+  Rng& rng_;
+};
+
+infosys::SiteRecord random_record(std::uint64_t id, Rng& rng) {
+  static constexpr const char* kArches[] = {"i686", "x86_64", "ia64"};
+  static constexpr const char* kOpSys[] = {"linux-2.4", "linux-2.6"};
+  infosys::SiteRecord r;
+  r.static_info.id = SiteId{id};
+  r.static_info.name = "site" + std::to_string(id);
+  r.static_info.arch = kArches[rng.pick_index(3)];
+  r.static_info.op_sys = kOpSys[rng.pick_index(2)];
+  r.static_info.worker_nodes = static_cast<int>(rng.uniform_int(0, 12));
+  r.static_info.cpus_per_node = static_cast<int>(rng.uniform_int(1, 2));
+  r.static_info.memory_mb_per_node = 256 << rng.uniform_int(0, 4);
+  r.static_info.storage_gb = rng.uniform_int(100, 1000);
+  const int total = r.static_info.total_cpus();
+  r.dynamic_info.free_cpus = static_cast<int>(rng.uniform_int(0, total));
+  r.dynamic_info.running_jobs = total - r.dynamic_info.free_cpus;
+  r.dynamic_info.queued_jobs = static_cast<int>(rng.uniform_int(0, 5));
+  r.dynamic_info.free_interactive_vms = static_cast<int>(rng.uniform_int(0, 3));
+  return r;
+}
+
+TEST(OracleParityProperty, RandomExpressionsMatchOracleAcrossSeeds) {
+  constexpr std::uint64_t kSeeds = 256;
+  std::size_t nonempty = 0;
+  std::size_t empty = 0;
+  std::size_t never = 0;
+  std::size_t excluded = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng{seed};
+    ExprGen gen{rng};
+    std::string source = "Executable = \"app\";\nMinMem = " +
+                         std::to_string(rng.uniform_int(0, 4096)) + ";\n";
+    if (rng.chance(0.9)) source += "Requirements = " + gen.requirements() + ";\n";
+    if (rng.chance(0.8)) source += "Rank = " + gen.rank() + ";\n";
+    const auto parsed = jdl::JobDescription::parse(source);
+    ASSERT_TRUE(parsed.has_value())
+        << source << (parsed ? "" : parsed.error().to_string());
+    const jdl::JobDescription& job = *parsed;
+    const std::string context = "seed " + std::to_string(seed) + ":\n" + source;
+
+    sim::Simulation sim;
+    LeaseManager leases{sim};
+    SiteHealth health{sim};
+    std::vector<infosys::SiteRecord> records;
+    const auto sites = static_cast<std::uint64_t>(rng.uniform_int(1, 16));
+    for (std::uint64_t id = 1; id <= sites; ++id) {
+      records.push_back(random_record(id, rng));
+      if (rng.chance(0.3)) {
+        ASSERT_TRUE(leases.acquire(
+            SiteId{id}, static_cast<int>(rng.uniform_int(1, 4)), 3600_s));
+      }
+      switch (rng.uniform_int(0, 7)) {
+        case 0: health.note_eviction(SiteId{id}); break;
+        case 1: health.note_suspected(SiteId{id}); break;
+        case 2: health.note_heartbeat_miss(SiteId{id}); break;
+        case 3:
+          health.note_suspected(SiteId{id});
+          health.note_completion(SiteId{id});
+          break;
+        default: break;  // healthy
+      }
+    }
+    // Let some suspicion decay, so exclusions and penalties vary in size.
+    sim.run_until(SimTime::from_seconds(
+        static_cast<double>(rng.uniform_int(0, 900))));
+    for (const auto& r : records) {
+      if (health.hard_excluded(r.static_info.id)) ++excluded;
+    }
+
+    const MatchmakerConfig config{
+        .rank_tie_margin = rng.chance(0.5) ? 1e-9 : 0.25,
+        .randomize_ties = rng.chance(0.8)};
+    Matchmaker product{config};
+    product.set_site_health(&health);
+    const auto compiled = product.compile(job);
+    if (compiled->never_matches()) ++never;
+
+    for (const int needed : {1, 2, 4}) {
+      const std::string at = context + "needed=" + std::to_string(needed);
+      const auto expect = oracle::filter(job, records, leases, needed, &health);
+      expect.empty() ? ++empty : ++nonempty;
+      expect_same_candidates(product.filter(*compiled, records, leases, needed),
+                             expect, at);
+      EXPECT_EQ(product.filter_sites(*compiled, CandidateSource{records},
+                                     leases, needed),
+                oracle::filter_sites(job, CandidateSource{records}, leases,
+                                     needed, &health))
+          << at;
+      const std::uint64_t draw_seed = rng.next_u64();
+      Rng oracle_rng{draw_seed};
+      Rng product_rng{draw_seed};
+      const auto picked = product.select(expect, oracle_rng);
+      const auto fused = product.match_one(*compiled, CandidateSource{records},
+                                           leases, needed, product_rng);
+      ASSERT_EQ(fused.has_value(), picked.has_value()) << at;
+      if (picked) {
+        EXPECT_EQ(fused->site, *picked) << at;
+      }
+      EXPECT_EQ(product_rng.next_u64(), oracle_rng.next_u64()) << at;
+    }
+  }
+  // The generator must exercise both outcomes, statically decided jobs and
+  // health exclusions, or the property says little.
+  EXPECT_GT(nonempty, kSeeds / 2);
+  EXPECT_GT(empty, kSeeds / 4);
+  EXPECT_GT(never, 0u);
+  EXPECT_GT(excluded, 0u);
 }
 
 // ------------------------------------------------- free-CPU site index -----
@@ -290,14 +515,22 @@ TEST_F(IndexFixture, SnapshotsShareOnePrimedMachineView) {
   EXPECT_EQ(first.get(), second.get());
 }
 
-// ------------------------------------------------- end-to-end A/B ----------
+// ------------------------------------------------- end-to-end goldens -----
 
-std::string run_trace(bool fast, std::uint64_t seed) {
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string run_trace(std::uint64_t seed) {
   GridConfig config;
   config.sites = 6;
   config.nodes_per_site = 4;
   config.seed = seed;
-  config.broker.matchmaker.use_fast_path = fast;
   Grid grid{config};
   const std::vector<std::string> jobs{
       "Executable = \"batch\";",
@@ -321,11 +554,19 @@ std::string run_trace(bool fast, std::uint64_t seed) {
 }
 
 TEST(FastPathEndToEndTest, SameSeedRunsExportByteIdenticalTraces) {
-  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    const std::string legacy = run_trace(/*fast=*/false, seed);
-    const std::string fast = run_trace(/*fast=*/true, seed);
-    EXPECT_FALSE(fast.empty());
-    EXPECT_EQ(fast, legacy) << "trace divergence at seed " << seed;
+  // FNV-1a of the JobTracer JSONL export, pinned from the interpreted
+  // ClassAd matchmaker's runs (which the compiled path matched byte for
+  // byte when both lived in the broker).
+  const std::pair<std::uint64_t, std::uint64_t> kGolden[] = {
+      {1, 0x3c7059259db4835cULL},
+      {2, 0xfd8546b240caf19bULL},
+      {3, 0x488bb351c2239aa3ULL},
+  };
+  for (const auto& [seed, digest] : kGolden) {
+    const std::string trace = run_trace(seed);
+    EXPECT_FALSE(trace.empty());
+    EXPECT_EQ(trace, run_trace(seed)) << "same-seed rerun diverged";
+    EXPECT_EQ(fnv1a(trace), digest) << "trace divergence at seed " << seed;
   }
 }
 

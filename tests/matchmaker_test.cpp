@@ -1,12 +1,13 @@
 // Matchmaker and lease-manager tests: Requirements filtering, Rank ordering,
 // randomized tie-breaking, and exclusive temporal access. The fixture is
-// parameterized over MatchmakerConfig::use_fast_path so every behaviour is
-// asserted for both the legacy AST interpretation and the compiled fast path.
+// parameterized over the filter under test so every behaviour is asserted for
+// both the product's compiled matchmaker and the interpreted ClassAd oracle.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "broker/matchmaker.hpp"
+#include "oracle/legacy_matchmaker.hpp"
 
 namespace cg::broker {
 namespace {
@@ -31,33 +32,35 @@ jdl::JobDescription make_job(const std::string& extra = "") {
   return jd.value();
 }
 
+/// GetParam(): true runs the oracle's filter, false the product's. Both
+/// share the product's select().
 class MatchmakerFixture : public ::testing::TestWithParam<bool> {
 protected:
-  [[nodiscard]] MatchmakerConfig config(double tie_margin = 1e-9) const {
-    MatchmakerConfig c;
-    c.rank_tie_margin = tie_margin;
-    c.use_fast_path = GetParam();
-    return c;
+  [[nodiscard]] std::vector<Candidate> filter(
+      const Matchmaker& mm, const jdl::JobDescription& job,
+      const std::vector<infosys::SiteRecord>& records, int needed_cpus) const {
+    if (GetParam()) return oracle::filter(job, records, leases, needed_cpus);
+    return mm.filter(*mm.compile(job), records, leases, needed_cpus);
+  }
+  [[nodiscard]] std::vector<Candidate> filter(
+      const jdl::JobDescription& job,
+      const std::vector<infosys::SiteRecord>& records, int needed_cpus) const {
+    return filter(matchmaker, job, records, needed_cpus);
   }
 
   sim::Simulation sim;
   LeaseManager leases{sim};
-  Matchmaker matchmaker{MatchmakerConfig{
-      .rank_tie_margin = 1e-9, .randomize_ties = true,
-      .use_fast_path = false}};  // overwritten in SetUp
-
-  void SetUp() override { matchmaker = Matchmaker{config()}; }
+  Matchmaker matchmaker;
 };
 
-INSTANTIATE_TEST_SUITE_P(LegacyAndFast, MatchmakerFixture, ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(ProductAndOracle, MatchmakerFixture, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& p) {
-                           return p.param ? "Fast" : "Legacy";
+                           return p.param ? "Oracle" : "Product";
                          });
 
 TEST_P(MatchmakerFixture, CapacityFilter) {
   const auto job = make_job();
-  const auto out = matchmaker.filter(
-      job, {make_record(1, 0), make_record(2, 3)}, leases, 1);
+  const auto out = filter(job, {make_record(1, 0), make_record(2, 3)}, 1);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].site, SiteId{2});
   EXPECT_EQ(out[0].effective_free_cpus, 3);
@@ -65,16 +68,15 @@ TEST_P(MatchmakerFixture, CapacityFilter) {
 
 TEST_P(MatchmakerFixture, RequirementsFilter) {
   const auto job = make_job("Requirements = other.Arch == \"x86_64\";");
-  const auto out = matchmaker.filter(
-      job, {make_record(1, 4, "i686"), make_record(2, 4, "x86_64")}, leases, 1);
+  const auto out = filter(
+      job, {make_record(1, 4, "i686"), make_record(2, 4, "x86_64")}, 1);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].site, SiteId{2});
 }
 
 TEST_P(MatchmakerFixture, NeededCpusRespectsParallelJobs) {
   const auto job = make_job();
-  const auto out = matchmaker.filter(
-      job, {make_record(1, 2), make_record(2, 8)}, leases, 4);
+  const auto out = filter(job, {make_record(1, 2), make_record(2, 8)}, 4);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].site, SiteId{2});
 }
@@ -82,18 +84,17 @@ TEST_P(MatchmakerFixture, NeededCpusRespectsParallelJobs) {
 TEST_P(MatchmakerFixture, LeasesShadowFreeCpus) {
   const auto job = make_job();
   ASSERT_TRUE(leases.acquire(SiteId{1}, 3, 60_s));
-  const auto out = matchmaker.filter(job, {make_record(1, 4)}, leases, 2);
+  const auto out = filter(job, {make_record(1, 4)}, 2);
   // 4 free - 3 leased = 1 effective, below the 2 needed.
   EXPECT_TRUE(out.empty());
-  const auto loose = matchmaker.filter(job, {make_record(1, 4)}, leases, 1);
+  const auto loose = filter(job, {make_record(1, 4)}, 1);
   ASSERT_EQ(loose.size(), 1u);
   EXPECT_EQ(loose[0].effective_free_cpus, 1);
 }
 
 TEST_P(MatchmakerFixture, DefaultRankPrefersFreeCpus) {
   const auto job = make_job();
-  const auto out = matchmaker.filter(
-      job, {make_record(1, 2), make_record(2, 8)}, leases, 1);
+  const auto out = filter(job, {make_record(1, 2), make_record(2, 8)}, 1);
   Rng rng{1};
   // Site 2 has strictly better rank; selection must always pick it.
   for (int i = 0; i < 20; ++i) {
@@ -104,8 +105,7 @@ TEST_P(MatchmakerFixture, DefaultRankPrefersFreeCpus) {
 TEST_P(MatchmakerFixture, CustomRankExpression) {
   // Prefer the *fuller* site via a custom Rank.
   const auto job = make_job("Rank = -other.FreeCPUs;");
-  const auto out = matchmaker.filter(
-      job, {make_record(1, 2), make_record(2, 8)}, leases, 1);
+  const auto out = filter(job, {make_record(1, 2), make_record(2, 8)}, 1);
   Rng rng{1};
   EXPECT_EQ(matchmaker.select(out, rng), SiteId{1});
 }
@@ -114,8 +114,8 @@ TEST_P(MatchmakerFixture, RandomizedSelectionAmongTies) {
   // "Randomized selection of resources ... used to generate different
   // answers when there are multiple resource choices."
   const auto job = make_job();
-  const auto out = matchmaker.filter(
-      job, {make_record(1, 4), make_record(2, 4), make_record(3, 4)}, leases, 1);
+  const auto out = filter(
+      job, {make_record(1, 4), make_record(2, 4), make_record(3, 4)}, 1);
   Rng rng{99};
   std::set<std::uint64_t> chosen;
   for (int i = 0; i < 100; ++i) {
@@ -133,7 +133,7 @@ TEST_P(MatchmakerFixture, SelectEmptyReturnsNullopt) {
 
 TEST_P(MatchmakerFixture, NonNumericRankIsNeutral) {
   const auto job = make_job("Rank = \"not a number\";");
-  const auto out = matchmaker.filter(job, {make_record(1, 4)}, leases, 1);
+  const auto out = filter(job, {make_record(1, 4)}, 1);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].rank, 0.0);
 }
@@ -145,14 +145,13 @@ TEST_P(MatchmakerFixture, TieMarginIsSymmetricUnderNegation) {
   // ranks {10, 18} tied under margin 0.5 while the mirrored {-10, -18}
   // (gap 8, window |−10|·0.5 = 5) did not. The window now scales with the
   // larger magnitude, so negating every rank preserves the tie set.
-  const Matchmaker wide{config(/*tie_margin=*/0.5)};
+  const Matchmaker wide{MatchmakerConfig{.rank_tie_margin = 0.5}};
   const auto records = [&] {
     return std::vector<infosys::SiteRecord>{make_record(1, 10),
                                             make_record(2, 18)};
   };
   const auto draws = [&](const std::string& rank_expr) {
-    const auto out =
-        wide.filter(make_job(rank_expr), records(), leases, 1);
+    const auto out = filter(wide, make_job(rank_expr), records(), 1);
     EXPECT_EQ(out.size(), 2u);
     Rng rng{7};
     std::set<std::uint64_t> chosen;

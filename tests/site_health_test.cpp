@@ -2,13 +2,14 @@
 // window and its end-by-decay, reward gating above the exclusion threshold,
 // the suspicion cap and erase floor, the disabled no-op mode, and the
 // matchmaker wiring (hard-excluded sites skipped, ranks penalized) asserted
-// identically on the legacy and compiled fast paths.
+// identically on the product matchmaker and the interpreted ClassAd oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "broker/matchmaker.hpp"
 #include "broker/site_health.hpp"
+#include "oracle/legacy_matchmaker.hpp"
 
 namespace cg::broker {
 namespace {
@@ -134,35 +135,41 @@ jdl::JobDescription make_job() {
   return jd.value();
 }
 
+/// GetParam(): true picks with the oracle's filter + select, false with the
+/// product's fused match_one.
 class SiteHealthMatchFixture : public ::testing::TestWithParam<bool> {
 protected:
   sim::Simulation sim;
   LeaseManager leases{sim};
   SiteHealth health{sim, tuned()};
-  Matchmaker matchmaker{MatchmakerConfig{.rank_tie_margin = 1e-9,
-                                         .randomize_ties = true,
-                                         .use_fast_path = GetParam()}};
+  const SiteHealth* attached = nullptr;  ///< what both matchmakers consult
+  Matchmaker matchmaker;
 
-  void SetUp() override { matchmaker.set_site_health(&health); }
+  void SetUp() override { attach(&health); }
+
+  void attach(const SiteHealth* h) {
+    attached = h;
+    matchmaker.set_site_health(h);
+  }
 
   std::optional<SiteId> pick(const jdl::JobDescription& job,
                              const std::vector<infosys::SiteRecord>& records) {
     Rng rng{42};
     if (GetParam()) {
-      const auto compiled = matchmaker.compile(job);
-      const auto chosen =
-          matchmaker.match_one(*compiled, CandidateSource{records}, leases, 1,
-                               rng);
-      return chosen ? std::optional<SiteId>{chosen->site} : std::nullopt;
+      return matchmaker.select(
+          oracle::filter(job, records, leases, 1, attached), rng);
     }
-    return matchmaker.select(matchmaker.filter(job, records, leases, 1), rng);
+    const auto compiled = matchmaker.compile(job);
+    const auto chosen = matchmaker.match_one(
+        *compiled, CandidateSource{records}, leases, 1, rng);
+    return chosen ? std::optional<SiteId>{chosen->site} : std::nullopt;
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(LegacyAndFast, SiteHealthMatchFixture,
+INSTANTIATE_TEST_SUITE_P(ProductAndOracle, SiteHealthMatchFixture,
                          ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& p) {
-                           return p.param ? "Fast" : "Legacy";
+                           return p.param ? "Oracle" : "Product";
                          });
 
 TEST_P(SiteHealthMatchFixture, PenaltyBreaksTiesAwayFromDegradedSite) {
@@ -191,33 +198,31 @@ TEST_P(SiteHealthMatchFixture, HardExcludedSiteIsSkippedEvenWhenBest) {
 
 TEST_P(SiteHealthMatchFixture, DetachedHealthRestoresHealthBlindMatching) {
   health.note_eviction(SiteId{1});
-  matchmaker.set_site_health(nullptr);
+  attach(nullptr);
   const auto job = make_job();
   EXPECT_EQ(pick(job, {make_record(1, 8), make_record(2, 2)}), SiteId{1});
 }
 
-TEST(SiteHealthParityTest, FilterSitesPrunesIdenticallyOnBothPaths) {
+TEST(SiteHealthParityTest, FilterSitesPrunesIdenticallyToOracle) {
   sim::Simulation sim;
   LeaseManager leases{sim};
   SiteHealth health{sim, tuned()};
   health.note_eviction(SiteId{2});
   health.note_heartbeat_miss(SiteId{3});
 
-  Matchmaker legacy{MatchmakerConfig{.use_fast_path = false}};
-  Matchmaker fast{MatchmakerConfig{.use_fast_path = true}};
-  legacy.set_site_health(&health);
-  fast.set_site_health(&health);
+  Matchmaker product;
+  product.set_site_health(&health);
 
   const auto job = make_job();
-  const auto compiled = fast.compile(job);
+  const auto compiled = product.compile(job);
   const std::vector<infosys::SiteRecord> records{
       make_record(1, 4), make_record(2, 4), make_record(3, 4)};
-  const auto a =
-      legacy.filter_sites(job, nullptr, CandidateSource{records}, leases, 1);
-  const auto b = fast.filter_sites(job, compiled.get(),
-                                   CandidateSource{records}, leases, 1);
+  const auto a = oracle::filter_sites(job, CandidateSource{records}, leases, 1,
+                                      &health);
+  const auto b =
+      product.filter_sites(*compiled, CandidateSource{records}, leases, 1);
   EXPECT_EQ(a, b);
-  ASSERT_EQ(a.size(), 2u);  // site 2 hard-excluded on both paths
+  ASSERT_EQ(a.size(), 2u);  // site 2 hard-excluded by both
   EXPECT_EQ(a[0], SiteId{1});
   EXPECT_EQ(a[1], SiteId{3});
 }

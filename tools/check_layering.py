@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layering gate for the control plane and the trace.
+"""Layering gate for the control plane, the trace and matchmaking.
 
 Every simulated control-plane exchange must go through net::ControlBus —
 no layer above src/net may touch sim::Network links directly or hand-roll
@@ -11,6 +11,13 @@ One trace recorder: obs::JobTracer is the run's only trace. The deleted
 string-kind Logging & Bookkeeping log (the JobTrace class, Grid::trace_log,
 broker/job_trace.hpp) must not reappear anywhere under src/, tests/, bench/
 or examples/, comments included.
+
+One matchmaking path: the product matches jobs only through the compiled
+broker::Matchmaker. The interpreted ClassAd matchmaker is a test and bench
+oracle (tests/oracle/legacy_matchmaker.*): the switch that once chose
+between them (use_fast_path) must not reappear under src/, tests/, bench/
+or examples/, and src/broker/ and src/infosys/ must neither interpret
+machine ClassAds (symmetric_match, to_classad) nor reach for the oracle.
 
 Allowed layers:
   * src/net   — the bus itself (the one place link latency is applied)
@@ -49,6 +56,13 @@ MANUAL_DELAY = re.compile(r"schedule\s*\([^;]*channel_latency")
 SECOND_TRACE = re.compile(r"\bJobTrace\b|\btrace_log\b|job_trace\.hpp")
 TRACE_SCAN_DIRS = ("src", "tests", "bench", "examples")
 
+# The second matchmaking path: its switch anywhere, and ClassAd
+# interpretation or the oracle inside the product's matchmaking layers.
+MATCH_SWITCH = re.compile(r"\buse_fast_path\b")
+ORACLE_IN_PRODUCT = re.compile(
+    r"\bsymmetric_match\b|\bto_classad\b|legacy_matchmaker")
+ONE_MATCH_DIRS = ("src/broker", "src/infosys")
+
 
 def allowed(rel: pathlib.PurePosixPath) -> bool:
     return len(rel.parts) >= 2 and rel.parts[1] in ALLOWED_LINK_LAYERS
@@ -81,9 +95,12 @@ def scan(root: pathlib.Path) -> list[str]:
     return violations
 
 
-def scan_second_trace(root: pathlib.Path) -> list[str]:
+def grep_tree(root: pathlib.Path, tops, pattern: re.Pattern,
+              why: str) -> list[str]:
+    """Every line under root/<top> for each top that matches `pattern`,
+    comments included."""
     violations = []
-    for top in TRACE_SCAN_DIRS:
+    for top in tops:
         base = root / top
         if not base.is_dir():
             continue
@@ -93,11 +110,22 @@ def scan_second_trace(root: pathlib.Path) -> list[str]:
             text = path.read_text(encoding="utf-8", errors="replace")
             rel = path.relative_to(root).as_posix()
             for lineno, line in enumerate(text.splitlines(), start=1):
-                if SECOND_TRACE.search(line):
-                    violations.append(
-                        f"{rel}:{lineno}: second trace recorder "
-                        f"(record into obs::JobTracer)\n    {line.strip()}")
+                if pattern.search(line):
+                    violations.append(f"{rel}:{lineno}: {why}\n    {line.strip()}")
     return violations
+
+
+def scan_second_trace(root: pathlib.Path) -> list[str]:
+    return grep_tree(root, TRACE_SCAN_DIRS, SECOND_TRACE,
+                     "second trace recorder (record into obs::JobTracer)")
+
+
+def scan_second_match_path(root: pathlib.Path) -> list[str]:
+    return grep_tree(
+        root, TRACE_SCAN_DIRS, MATCH_SWITCH,
+        "matchmaking path switch (the product has one path)") + grep_tree(
+        root, ONE_MATCH_DIRS, ORACLE_IN_PRODUCT,
+        "ClassAd matchmaking in the product (it belongs to tests/oracle)")
 
 
 def main() -> int:
@@ -128,6 +156,19 @@ def main() -> int:
         )
     else:
         print("[ok]   one trace recorder: obs::JobTracer")
+    violations = scan_second_match_path(root)
+    if violations:
+        failed = True
+        print("[FAIL] one matchmaking path:")
+        for v in violations:
+            print("  " + v)
+        print(
+            f"\n{len(violations)} violation(s). broker::Matchmaker is the only "
+            "matchmaking path; the ClassAd interpreter is a test oracle "
+            "(docs/performance.md)."
+        )
+    else:
+        print("[ok]   one matchmaking path: broker::Matchmaker")
     return 1 if failed else 0
 
 
