@@ -160,7 +160,17 @@ RunResult run_path(std::size_t n_sites, std::size_t jobs, bool fast) {
             delivered = true;
           });
     } else {
-      is.query_index([&](std::vector<infosys::SiteRecord> records) {
+      // The oracle reads the full published index itself (ascending site
+      // ids) and gets it after the same index latency.
+      std::vector<infosys::SiteRecord> records;
+      records.reserve(n_sites);
+      for (std::uint64_t i = 1; i <= n_sites; ++i) {
+        if (auto record = is.published_record(SiteId{i})) {
+          records.push_back(std::move(*record));
+        }
+      }
+      sim.schedule(is.config().index_query_latency,
+                   [&, records = std::move(records)] {
         const auto candidates =
             oracle::filter(desc, records, leases, needed, &health);
         if (const auto site = mm.select(candidates, rng)) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "gsi/auth.hpp"
@@ -25,6 +24,10 @@ net::SendOptions inline_send() {
   net::SendOptions options;
   options.inline_when_immediate = true;
   return options;
+}
+
+obs::LabelSet site_labels(SiteId site) {
+  return obs::LabelSet{{"site", std::to_string(site.value())}};
 }
 }  // namespace
 
@@ -80,13 +83,19 @@ CrossBroker::CrossBroker(sim::Simulation& sim, net::ControlBus& bus,
   });
   bus_.bind(endpoint_,
             [this](const net::Envelope& envelope) { handle_bus_message(envelope); });
-  if (config_.enable_agent_heartbeats) {
-    sim_.schedule_daemon(config_.agent_heartbeat_interval,
-                         [this] { heartbeat_tick(); });
-  }
-  if (config_.enable_liveness_probes) {
-    sim_.schedule_daemon(config_.liveness_probe_interval,
-                         [this] { liveness_tick(); });
+  supervision_[kHeartbeat] = {config_.enable_agent_heartbeats,
+                              config_.agent_heartbeat_interval,
+                              config_.agent_heartbeat_miss_limit,
+                              {}};
+  supervision_[kLiveness] = {config_.enable_liveness_probes,
+                             config_.liveness_probe_interval,
+                             config_.liveness_miss_limit,
+                             {}};
+  for (const SupervisionChannel channel : {kHeartbeat, kLiveness}) {
+    if (supervision_[channel].enabled) {
+      sim_.schedule_daemon(supervision_[channel].interval,
+                           [this, channel] { supervision_tick(channel); });
+    }
   }
 }
 
@@ -242,25 +251,14 @@ bool CrossBroker::cancel(JobId id) {
     bool handled = false;
     if (sub.agent) {
       const auto info_it = agent_info_.find(*sub.agent);
-      glidein::GlideinAgent* agent = agents_.find(*sub.agent);
-      if (info_it != agent_info_.end() && agent != nullptr) {
+      if (info_it != agent_info_.end() && agents_.find(*sub.agent) != nullptr) {
         AgentInfo& info = info_it->second;
-        lrms::Site* agent_site = find_site(info.site);
-        const std::string site_dst =
-            agent_site != nullptr ? agent_site->endpoint() : std::string{};
-        const AgentId agent_id = *sub.agent;
         const JobId lrms_id = sub.lrms_job_id;
         std::erase(info.pending_interactive, id);
         if (info.pending_batch == id) info.pending_batch.reset();
-        if (std::find(info.interactive_residents.begin(),
-                      info.interactive_residents.end(),
-                      id) != info.interactive_residents.end()) {
-          bus_.send(endpoint_, site_dst, net::KillJob{lrms_id}, inline_send(),
-                    [this, agent_id, lrms_id](const net::Envelope&) {
-                      if (auto* a = agents_.find(agent_id)) {
-                        a->cancel_interactive_job(lrms_id);
-                      }
-                    });
+        if (std::ranges::find(info.interactive_residents, id) !=
+            info.interactive_residents.end()) {
+          kill_on_agent(info, net::KillJob{lrms_id}, lrms_id, /*interactive=*/true);
           std::erase(info.interactive_residents, id);
           // The batch job gets its machine (and application factor) back
           // once the last interactive resident is gone.
@@ -271,12 +269,7 @@ bool CrossBroker::cancel(JobId id) {
           handled = true;
         }
         if (info.batch_resident == id) {
-          bus_.send(endpoint_, site_dst, net::KillJob{lrms_id}, inline_send(),
-                    [this, agent_id](const net::Envelope&) {
-                      if (auto* a = agents_.find(agent_id)) {
-                        a->cancel_slot(glidein::SlotType::kBatch);
-                      }
-                    });
+          kill_on_agent(info, net::KillJob{lrms_id}, lrms_id, /*interactive=*/false);
           info.batch_resident.reset();
           handled = true;
         }
@@ -284,21 +277,8 @@ bool CrossBroker::cancel(JobId id) {
         maybe_dismiss_agent(*sub.agent);
       }
     }
-    if (!handled) {
-      // Direct placement: remove from the site's queue or kill on the node.
-      lrms::Site* site = find_site(sub.site);
-      if (site != nullptr) {
-        const SiteId site_id = sub.site;
-        const JobId lrms_id = sub.lrms_job_id;
-        bus_.send(endpoint_, site->endpoint(),
-                  net::CancelJob{lrms_id, /*queued_only=*/false}, inline_send(),
-                  [this, site_id, lrms_id](const net::Envelope&) {
-                    if (lrms::Site* s = find_site(site_id)) {
-                      s->gatekeeper().cancel(lrms_id, /*queued_only=*/false);
-                    }
-                  });
-      }
-    }
+    // Direct placement: remove from the site's queue or kill on the node.
+    if (!handled) cancel_at_site(sub.site, sub.lrms_job_id, /*queued_only=*/false);
   }
 
   if (job->callbacks.on_state_change) job->callbacks.on_state_change(job->record);
@@ -335,6 +315,11 @@ CrossBroker::ManagedJob* CrossBroker::find_job(JobId id) {
 lrms::Site* CrossBroker::find_site(SiteId id) {
   const auto it = sites_.find(id);
   return it != sites_.end() ? it->second : nullptr;
+}
+
+std::string CrossBroker::site_endpoint(SiteId id) {
+  const lrms::Site* site = find_site(id);
+  return site != nullptr ? site->endpoint() : std::string{};
 }
 
 int CrossBroker::needed_cpus_per_site(const jdl::JobDescription& desc) const {
@@ -403,8 +388,7 @@ obs::CounterHandle& CrossBroker::per_site_counter(
   if (it != cache.end()) return it->second;
   obs::CounterHandle handle;
   if (obs_ != nullptr) {
-    handle = obs_->metrics.counter_handle(
-        name, obs::LabelSet{{"site", std::to_string(site.value())}});
+    handle = obs_->metrics.counter_handle(name, site_labels(site));
   }
   return cache.emplace(site, std::move(handle)).first->second;
 }
@@ -455,45 +439,51 @@ void CrossBroker::schedule_job(JobId id) {
   // existing VMs is kept locally by CrossBroker" (Section 6.1).
   if (desc.is_interactive() &&
       desc.machine_access() == jdl::MachineAccess::kShared) {
+    // Net reservable VMs, grid-wide or (MPICH-P4, which cannot span sites)
+    // per site; a pending agent's reservations count against its site.
+    // Hard-excluded sites offer no VMs: shared-mode placement follows the
+    // same suspicion window as external matchmaking.
+    const bool single_site = desc.flavor() == jdl::JobFlavor::kMpichP4;
     int free_vms = 0;
-    for (auto* agent : agents_.agents()) {
-      // Hard-excluded sites offer no VMs either: shared-mode placement
-      // follows the same suspicion window as external matchmaking.
-      if (site_health_.hard_excluded(agent->site())) continue;
-      const auto info = agent_info_.find(agent->id());
-      if (info == agent_info_.end()) continue;
-      free_vms += info->second.reservable_slots(*agent);
-    }
-    if (free_vms >= desc.node_number() &&
-        desc.flavor() != jdl::JobFlavor::kMpichP4) {
+    std::map<SiteId, int> site_vms;
+    scan_vms(std::nullopt, /*include_hard_excluded=*/false,
+             [&](const glidein::GlideinAgent& agent, AgentInfo&, int slots) {
+               if (single_site) {
+                 site_vms[agent.site()] += slots;
+               } else {
+                 free_vms += slots;
+               }
+             });
+    for (const auto& [site, vms] : site_vms) free_vms = std::max(free_vms, vms);
+    if (free_vms >= desc.node_number()) {
       sim_.schedule(config_.vm_lookup_cost, [this, id] {
-        dispatch_interactive_on_vms(id);
+        ManagedJob* j = find_job(id);
+        if (j == nullptr || is_terminal(j->record.state)) return;
+        // Discovery and selection happened at once, against the VM registry.
+        j->record.timestamps.discovery_done = sim_.now();
+        j->record.timestamps.selection_done = sim_.now();
+        place_job(id, {});  // no external candidates needed: VMs cover the job
       });
       return;
-    }
-    if (desc.flavor() == jdl::JobFlavor::kMpichP4) {
-      // Check per-site VM availability for the single-site constraint.
-      for (const auto& [site_id, site] : sites_) {
-        if (site_health_.hard_excluded(site_id)) continue;
-        int site_vms = 0;
-        for (auto* agent : agents_.agents()) {
-          if (agent->site() != site_id) continue;
-          const auto info = agent_info_.find(agent->id());
-          if (info == agent_info_.end()) continue;
-          site_vms += info->second.reservable_slots(*agent);
-        }
-        if (site_vms >= desc.node_number()) {
-          sim_.schedule(config_.vm_lookup_cost, [this, id] {
-            dispatch_interactive_on_vms(id);
-          });
-          return;
-        }
-      }
     }
     // Fall through: no (sufficient) free VMs — search for idle machines and
     // submit agent + application together.
   }
   begin_discovery(id);
+}
+
+template <typename Visit>
+void CrossBroker::scan_vms(std::optional<SiteId> site, bool include_hard_excluded,
+                           Visit&& visit) {
+  for (glidein::GlideinAgent* agent : agents_.agents()) {
+    if (site && agent->site() != *site) continue;
+    if (!include_hard_excluded && site_health_.hard_excluded(agent->site())) {
+      continue;
+    }
+    const auto info = agent_info_.find(agent->id());
+    if (info == agent_info_.end()) continue;
+    visit(*agent, info->second, info->second.reservable_slots(*agent));
+  }
 }
 
 void CrossBroker::begin_discovery(JobId id) {
@@ -619,56 +609,47 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
   // machines ("it is possible to have a combination of machines with and
   // without agents for executing a parallel interactive application").
   int still_needed = processes;
-  if (shared && desc.flavor() == jdl::JobFlavor::kMpichP4) {
-    // MPICH-P4 cannot span sites: use VMs only if ONE site's reservable
-    // slots cover the whole job; otherwise fall through to idle machines.
-    for (const auto& [site_id, site] : sites_) {
-      if (site_health_.hard_excluded(site_id)) continue;
-      int takeable = 0;
-      std::vector<std::pair<glidein::GlideinAgent*, AgentInfo*>> donors;
-      for (auto* agent : agents_.agents()) {
-        if (agent->site() != site_id) continue;
-        const auto info = agent_info_.find(agent->id());
-        if (info == agent_info_.end()) continue;
-        const int slots = info->second.reservable_slots(*agent);
-        if (slots > 0) {
-          takeable += slots;
-          donors.emplace_back(agent, &info->second);
-        }
-      }
-      if (takeable < still_needed) continue;
-      for (auto& [agent, info] : donors) {
-        int slots = info->reservable_slots(*agent);
-        while (slots > 0 && still_needed > 0) {
-          assignments.push_back(
-              Assignment{site_id, Assignment::Kind::kVm, agent->id()});
-          info->pending_interactive.push_back(id);
-          --slots;
-          --still_needed;
-        }
-      }
-      break;
+  if (shared) {
+    // Agents with reservable VMs, in registry order.
+    std::vector<std::pair<AgentInfo*, int>> donors;
+    scan_vms(std::nullopt, /*include_hard_excluded=*/false,
+             [&donors](const glidein::GlideinAgent&, AgentInfo& info, int slots) {
+               if (slots > 0) donors.emplace_back(&info, slots);
+             });
+    if (desc.flavor() == jdl::JobFlavor::kMpichP4) {
+      // MPICH-P4 cannot span sites: use VMs only if ONE site's reservable
+      // slots cover the whole job (the lowest such site id); otherwise fall
+      // through to idle machines.
+      std::map<SiteId, int> takeable;
+      for (const auto& [info, slots] : donors) takeable[info->site] += slots;
+      const auto covering =
+          std::find_if(takeable.begin(), takeable.end(), [&](const auto& site) {
+            return site.second >= still_needed;
+          });
+      std::erase_if(donors, [&](const auto& donor) {
+        return covering == takeable.end() || donor.first->site != covering->first;
+      });
     }
-  }
-  if (shared && desc.flavor() != jdl::JobFlavor::kMpichP4) {
-    for (auto* agent : agents_.agents()) {
-      if (still_needed == 0) break;
-      if (site_health_.hard_excluded(agent->site())) continue;
-      const auto info = agent_info_.find(agent->id());
-      if (info == agent_info_.end()) continue;
-      // With a multiprogramming degree above 1, one agent can host several
-      // subjobs at once; take as many reservable slots as still needed.
-      int takeable = info->second.reservable_slots(*agent);
-      while (takeable > 0 && still_needed > 0) {
-        assignments.push_back(
-            Assignment{agent->site(), Assignment::Kind::kVm, agent->id()});
+    // With a multiprogramming degree above 1, one agent can host several
+    // subjobs at once; take as many reservable slots as still needed.
+    for (auto& [info, slots] : donors) {
+      while (slots > 0 && still_needed > 0) {
+        assignments.push_back(Assignment{info->site, Assignment::Kind::kVm, info->id});
         // Reserve against concurrent placements in this event cascade.
-        info->second.pending_interactive.push_back(id);
-        --takeable;
+        info->pending_interactive.push_back(id);
+        --slots;
         --still_needed;
       }
     }
   }
+  // Rolls back the VM reservations when the remainder cannot be placed.
+  const auto release_vm_reservations = [&] {
+    for (const auto& a : assignments) {
+      if (a.kind != Assignment::Kind::kVm) continue;
+      const auto info = agent_info_.find(a.vm_agent);
+      if (info != agent_info_.end()) std::erase(info->second.pending_interactive, id);
+    }
+  };
 
   if (still_needed > 0) {
     mpijob::AllocationPlan sequential_plan;
@@ -698,17 +679,7 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
                                      std::move(capacity), plan_rng);
     }
     if (!plan) {
-      // Roll back VM reservations; no machines for the remainder.
-      for (const auto& a : assignments) {
-        if (a.kind == Assignment::Kind::kVm) {
-          const auto info = agent_info_.find(a.vm_agent);
-          if (info != agent_info_.end()) {
-            auto& pending = info->second.pending_interactive;
-            const auto it = std::find(pending.begin(), pending.end(), id);
-            if (it != pending.end()) pending.erase(it);
-          }
-        }
-      }
+      release_vm_reservations();
       handle_no_resources(id);
       return;
     }
@@ -727,17 +698,9 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
         if (!lease) {
           job->record.last_error = lease.error();
           trace(id, obs::TraceEventKind::kLeaseRevoked, lease.error().message,
-                obs::LabelSet{{"site", std::to_string(placement.site.value())}});
-          count("broker.lease_conflicts",
-                obs::LabelSet{{"site", std::to_string(placement.site.value())}});
-          for (const auto& a : assignments) {
-            if (a.kind == Assignment::Kind::kVm) {
-              const auto info = agent_info_.find(a.vm_agent);
-              if (info != agent_info_.end()) {
-                std::erase(info->second.pending_interactive, id);
-              }
-            }
-          }
+                site_labels(placement.site));
+          count("broker.lease_conflicts", site_labels(placement.site));
+          release_vm_reservations();
           handle_no_resources(id);
           return;
         }
@@ -745,7 +708,7 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
         trace(id, obs::TraceEventKind::kLeaseAcquired,
               std::to_string(placement.processes) + " cpus at site " +
                   std::to_string(placement.site.value()),
-              obs::LabelSet{{"site", std::to_string(placement.site.value())}});
+              site_labels(placement.site));
         metrics_.leases_acquired.inc();
       }
     }
@@ -866,15 +829,6 @@ lrms::TaskRunner::BarrierFn CrossBroker::barrier_handler_for(JobId id, int rank)
   };
 }
 
-void CrossBroker::dispatch_interactive_on_vms(JobId id) {
-  ManagedJob* job = find_job(id);
-  if (job == nullptr || is_terminal(job->record.state)) return;
-  // Combined discovery+selection happened locally against the VM registry.
-  job->record.timestamps.discovery_done = sim_.now();
-  job->record.timestamps.selection_done = sim_.now();
-  place_job(id, {});  // no external candidates needed: VMs cover the job
-}
-
 void CrossBroker::handle_no_resources(JobId id) {
   ManagedJob* job = find_job(id);
   if (job == nullptr || is_terminal(job->record.state)) return;
@@ -915,10 +869,13 @@ void CrossBroker::handle_no_resources(JobId id) {
       waiting_batch_.end()) {
     waiting_batch_.push_back(id);
   }
-  if (!queue_poll_armed_) {
-    queue_poll_armed_ = true;
-    sim_.schedule(config_.broker_queue_poll, [this] { poll_broker_queue(); });
-  }
+  arm_queue_poll();
+}
+
+void CrossBroker::arm_queue_poll() {
+  if (queue_poll_armed_) return;
+  queue_poll_armed_ = true;
+  sim_.schedule(config_.broker_queue_poll, [this] { poll_broker_queue(); });
 }
 
 void CrossBroker::poll_broker_queue() {
@@ -941,10 +898,7 @@ void CrossBroker::poll_broker_queue() {
     if (job == nullptr || is_terminal(job->record.state)) continue;
     begin_discovery(id);
   }
-  if (!waiting_batch_.empty() && !queue_poll_armed_) {
-    queue_poll_armed_ = true;
-    sim_.schedule(config_.broker_queue_poll, [this] { poll_broker_queue(); });
-  }
+  if (!waiting_batch_.empty()) arm_queue_poll();
 }
 
 // -------------------------------------------------------------- dispatch ----
@@ -957,19 +911,13 @@ void CrossBroker::dispatch_subjob_to_vm(JobId id, std::size_t subjob_index,
 
   // Direct broker -> agent channel (no Globus, no LRMS), then stage the
   // executable from the submitter, then spawn on the interactive-vm.
-  const SiteId site_id = agent.site();
-  lrms::Site* site = find_site(site_id);
-  if (site == nullptr) {
-    fail_job(id, make_error("broker.no_site", "agent site unknown"));
-    return;
-  }
   const AgentId agent_id = agent.id();
   const SubJobId expected_sub = job->record.subjobs[subjob_index].id;
   net::SendOptions options;
   options.channel_latency = config_.agent_channel_latency;
   options.payload_bytes = config_.executable_bytes;
   options.transfer_src = job->record.submitter_endpoint;
-  bus_.send(endpoint_, site->endpoint(),
+  bus_.send(endpoint_, site_endpoint(agent.site()),
             net::DispatchJob{job->record.subjobs[subjob_index].lrms_job_id,
                              job->record.subjobs[subjob_index].rank},
             options,
@@ -978,10 +926,7 @@ void CrossBroker::dispatch_subjob_to_vm(JobId id, std::size_t subjob_index,
     if (j == nullptr || is_terminal(j->record.state)) return;
     // Stale dispatch: the job was resubmitted (e.g. its lease was revoked
     // when the agent missed heartbeats) while this event was in flight.
-    if (subjob_index >= j->record.subjobs.size() ||
-        j->record.subjobs[subjob_index].id != expected_sub) {
-      return;
-    }
+    if (!j->is_current(subjob_index, expected_sub)) return;
     glidein::GlideinAgent* a = agents_.find(agent_id);
     const auto info_it = agent_info_.find(agent_id);
     if (a == nullptr || info_it == agent_info_.end() ||
@@ -1003,11 +948,6 @@ void CrossBroker::start_job_on_agent(JobId id, std::size_t subjob_index,
     resubmit_job(id);
     return;
   }
-  const AgentId agent_id = info.id;
-  lrms::Site* agent_site = find_site(info.site);
-  const std::string site_endpoint =
-      agent_site != nullptr ? agent_site->endpoint() : std::string{};
-
   // GSI delegation: the agent acts on the user's behalf, so the broker
   // issues a further-restricted proxy from the user's credentials. An
   // expired user proxy fails the job here — the paper-era behaviour of a
@@ -1037,39 +977,13 @@ void CrossBroker::start_job_on_agent(JobId id, std::size_t subjob_index,
     slot_job.barrier_handler =
         barrier_handler_for(id, job->record.subjobs[subjob_index].rank);
   }
-  slot_job.on_start = [this, id, subjob_index, site_endpoint] {
-    bus_.send(site_endpoint, endpoint_,
-              net::JobStatus{id, net::StatusPhase::kStarted}, inline_send(),
-              [this, id, subjob_index](const net::Envelope&) {
-                subjob_started(id, subjob_index);
-              });
+  slot_job.on_start = [this, site = info.site, id, subjob_index] {
+    relay_job_status(site, id, subjob_index, net::StatusPhase::kStarted);
   };
-  slot_job.on_complete = [this, id, subjob_index, agent_id, interactive_slot,
-                          site_endpoint] {
-    bus_.send(site_endpoint, endpoint_,
-              net::JobStatus{id, net::StatusPhase::kCompleted}, inline_send(),
-              [this, id, subjob_index, agent_id,
-               interactive_slot](const net::Envelope&) {
-      const auto it = agent_info_.find(agent_id);
-      if (it != agent_info_.end()) {
-        it->second.ran_any_job = true;
-        if (interactive_slot) {
-          auto& residents = it->second.interactive_residents;
-          const auto res = std::find(residents.begin(), residents.end(), id);
-          if (res != residents.end()) residents.erase(res);
-          // The last interactive job finished: the batch job's original
-          // priority (and application factor) are restored.
-          if (it->second.batch_resident && residents.empty()) {
-            fair_share_.set_application_factor(*it->second.batch_resident,
-                                               application_factor_batch());
-          }
-        } else {
-          it->second.batch_resident.reset();
-        }
-      }
-      subjob_completed(id, subjob_index);
-      maybe_dismiss_agent(agent_id);
-    });
+  slot_job.on_complete = [this, site = info.site, id, subjob_index,
+                          agent_id = info.id, interactive_slot] {
+    relay_job_status(site, id, subjob_index, net::StatusPhase::kCompleted,
+                     agent_id, interactive_slot);
   };
 
   Status status = Status::ok_status();
@@ -1092,11 +1006,9 @@ void CrossBroker::start_job_on_agent(JobId id, std::size_t subjob_index,
         fair_share_.set_application_factor(
             *info.batch_resident,
             application_factor_yielding_batch(governing_pl));
-        count("glidein.batch_demotions",
-              obs::LabelSet{{"site", std::to_string(info.site.value())}});
+        count("glidein.batch_demotions", site_labels(info.site));
         observe("glidein.performance_loss_applied",
-                static_cast<double>(governing_pl),
-                obs::LabelSet{{"site", std::to_string(info.site.value())}});
+                static_cast<double>(governing_pl), site_labels(info.site));
       }
     }
   } else {
@@ -1116,11 +1028,6 @@ void CrossBroker::dispatch_subjob_exclusive(JobId id, std::size_t subjob_index,
                                             SiteId site_id) {
   ManagedJob* job = find_job(id);
   if (job == nullptr) return;
-  lrms::Site* site = find_site(site_id);
-  if (site == nullptr) {
-    fail_job(id, make_error("broker.no_site", "selected site unknown"));
-    return;
-  }
 
   lrms::GridJobRequest request;
   request.id = job->record.subjobs[subjob_index].lrms_job_id;
@@ -1134,68 +1041,95 @@ void CrossBroker::dispatch_subjob_exclusive(JobId id, std::size_t subjob_index,
     request.barrier_handler =
         barrier_handler_for(id, job->record.subjobs[subjob_index].rank);
   }
-  const std::string site_endpoint = site->endpoint();
-  request.on_start = [this, id, subjob_index, site_endpoint](NodeId) {
-    bus_.send(site_endpoint, endpoint_,
-              net::JobStatus{id, net::StatusPhase::kStarted}, inline_send(),
-              [this, id, subjob_index](const net::Envelope&) {
-                subjob_started(id, subjob_index);
-              });
+  request.on_start = [this, site_id, id, subjob_index](NodeId) {
+    relay_job_status(site_id, id, subjob_index, net::StatusPhase::kStarted);
   };
-  request.on_complete = [this, id, subjob_index, site_endpoint] {
-    bus_.send(site_endpoint, endpoint_,
-              net::JobStatus{id, net::StatusPhase::kCompleted}, inline_send(),
-              [this, id, subjob_index](const net::Envelope&) {
-                subjob_completed(id, subjob_index);
-              });
+  request.on_complete = [this, site_id, id, subjob_index] {
+    relay_job_status(site_id, id, subjob_index, net::StatusPhase::kCompleted);
   };
+  submit_two_phase(site_id, id, std::move(request),
+                   [this, id, subjob_index, site_id](Status status) {
+    if (!status.ok()) {
+      resubmit_elsewhere(id, site_id);
+      return;
+    }
+    ManagedJob* j = find_job(id);
+    if (j == nullptr || is_terminal(j->record.state)) return;
+    // On-line scheduling: an interactive job must start immediately; if it
+    // landed in the queue, cancel and resubmit elsewhere.
+    if (j->record.description.is_interactive() && j->record.subjobs.size() == 1) {
+      arm_queue_detection(id, subjob_index, site_id);
+    }
+  });
+}
 
-  // Two-phase commit: prepare detects error conditions (full site, auth
-  // failure) before any state is moved. Both legs ride the bus as SubmitJob
-  // messages (prepare, then commit).
+void CrossBroker::submit_two_phase(SiteId site_id, JobId job,
+                                   lrms::GridJobRequest request,
+                                   std::function<void(Status)> done) {
+  lrms::Site* site = find_site(site_id);
+  if (site == nullptr) {
+    done(make_error("broker.no_site", "selected site unknown"));
+    return;
+  }
+  // Both legs ride the bus as SubmitJob messages. `done` is copied, not
+  // moved, into each leg so a duplicated delivery still has it.
   const JobId lrms_id = request.id;
-  bus_.send(endpoint_, site_endpoint,
+  bus_.send(endpoint_, site->endpoint(),
             net::SubmitJob{lrms_id, net::SubmitPhase::kPrepare}, inline_send(),
-            [this, id, subjob_index, site_id,
-             request = std::move(request)](const net::Envelope&) mutable {
-    lrms::Site* prepare_site = find_site(site_id);
-    if (prepare_site == nullptr) return;
-    prepare_site->gatekeeper().prepare(request, [this, id, subjob_index, site_id,
-                                                 request](Status prepared) mutable {
-      ManagedJob* j = find_job(id);
-      if (j == nullptr || is_terminal(j->record.state)) return;
+            [this, site, job, request = std::move(request),
+             done](const net::Envelope&) {
+    site->gatekeeper().prepare(request, [this, site, job, request,
+                                         done](Status prepared) mutable {
       if (!prepared.ok()) {
-        j->excluded_sites.push_back(site_id);
-        resubmit_job(id);
+        done(std::move(prepared));
         return;
       }
-      lrms::Site* s = find_site(site_id);
-      if (s == nullptr) return;
-      bus_.send(endpoint_, s->endpoint(),
+      if (job.valid()) {
+        const ManagedJob* j = find_job(job);
+        if (j == nullptr || is_terminal(j->record.state)) return;
+      }
+      bus_.send(endpoint_, site->endpoint(),
                 net::SubmitJob{request.id, net::SubmitPhase::kCommit},
                 inline_send(),
-                [this, id, subjob_index, site_id,
-                 request = std::move(request)](const net::Envelope&) mutable {
-        lrms::Site* commit_site = find_site(site_id);
-        if (commit_site == nullptr) return;
-        commit_site->gatekeeper().commit(std::move(request),
-                               [this, id, subjob_index, site_id](Status accepted) {
-          ManagedJob* jj = find_job(id);
-          if (jj == nullptr || is_terminal(jj->record.state)) return;
-          if (!accepted.ok()) {
-            jj->excluded_sites.push_back(site_id);
-            resubmit_job(id);
-            return;
-          }
-          // On-line scheduling: an interactive job must start immediately; if it
-          // landed in the queue, cancel and resubmit elsewhere.
-          if (jj->record.description.is_interactive() &&
-              jj->record.subjobs.size() == 1) {
-            arm_queue_detection(id, subjob_index, site_id);
-          }
-        });
+                [site, request = std::move(request),
+                 done](const net::Envelope&) mutable {
+        site->gatekeeper().commit(std::move(request), done);
       });
     });
+  });
+}
+
+void CrossBroker::relay_job_status(SiteId site, JobId id, std::size_t subjob_index,
+                                   net::StatusPhase phase, AgentId agent,
+                                   bool interactive_slot) {
+  bus_.send(site_endpoint(site), endpoint_, net::JobStatus{id, phase},
+            inline_send(),
+            [this, id, subjob_index, phase, agent,
+             interactive_slot](const net::Envelope&) {
+    if (phase == net::StatusPhase::kStarted) {
+      subjob_started(id, subjob_index);
+      return;
+    }
+    // A directly placed subjob names no agent, so none is found.
+    const auto it = agent_info_.find(agent);
+    if (it != agent_info_.end()) {
+      it->second.ran_any_job = true;
+      if (interactive_slot) {
+        auto& residents = it->second.interactive_residents;
+        const auto res = std::find(residents.begin(), residents.end(), id);
+        if (res != residents.end()) residents.erase(res);
+        // The last interactive job finished: the batch job's original
+        // priority (and application factor) are restored.
+        if (it->second.batch_resident && residents.empty()) {
+          fair_share_.set_application_factor(*it->second.batch_resident,
+                                             application_factor_batch());
+        }
+      } else {
+        it->second.batch_resident.reset();
+      }
+    }
+    subjob_completed(id, subjob_index);
+    maybe_dismiss_agent(agent);
   });
 }
 
@@ -1211,27 +1145,23 @@ void CrossBroker::arm_queue_detection(JobId id, std::size_t subjob_index,
     if (j == nullptr || is_terminal(j->record.state)) return;
     j->queue_timer_armed = false;
     // Stale timer: the job was resubmitted while this event was pending.
-    if (subjob_index >= j->record.subjobs.size() ||
-        j->record.subjobs[subjob_index].id != expected_sub) {
-      return;
-    }
+    if (!j->is_current(subjob_index, expected_sub)) return;
     if (j->record.subjobs[subjob_index].started) return;  // it did start
-    lrms::Site* site = find_site(site_id);
-    if (site != nullptr) {
-      const JobId lrms_id = j->record.subjobs[subjob_index].lrms_job_id;
-      bus_.send(endpoint_, site->endpoint(),
-                net::CancelJob{lrms_id, /*queued_only=*/true}, inline_send(),
-                [this, site_id, lrms_id](const net::Envelope&) {
-                  if (lrms::Site* s = find_site(site_id)) {
-                    s->gatekeeper().cancel(lrms_id, /*queued_only=*/true);
-                  }
-                });
-    }
+    cancel_at_site(site_id, j->record.subjobs[subjob_index].lrms_job_id,
+                   /*queued_only=*/true);
     log_info(kLog, id, " was queued at site ", site_id.value(),
              "; resubmitting (on-line scheduling)");
-    j->excluded_sites.push_back(site_id);
-    resubmit_job(id);
+    resubmit_elsewhere(id, site_id);
   });
+}
+
+void CrossBroker::cancel_at_site(SiteId site_id, JobId lrms_id, bool queued_only) {
+  lrms::Site* site = find_site(site_id);
+  if (site == nullptr) return;
+  bus_.send(endpoint_, site->endpoint(), net::CancelJob{lrms_id, queued_only},
+            inline_send(), [site, lrms_id, queued_only](const net::Envelope&) {
+              site->gatekeeper().cancel(lrms_id, queued_only);
+            });
 }
 
 void CrossBroker::dispatch_subjob_with_new_agent(JobId id, std::size_t subjob_index,
@@ -1245,12 +1175,7 @@ void CrossBroker::dispatch_subjob_with_new_agent(JobId id, std::size_t subjob_in
       [this, id, subjob_index, interactive_slot](AgentInfo& ready) {
         start_job_on_agent(id, subjob_index, ready, interactive_slot);
       },
-      [this, id, site_id] {
-        ManagedJob* j = find_job(id);
-        if (j == nullptr || is_terminal(j->record.state)) return;
-        j->excluded_sites.push_back(site_id);
-        resubmit_job(id);
-      });
+      [this, id, site_id] { resubmit_elsewhere(id, site_id); });
   if (interactive_slot) {
     info.pending_interactive.push_back(id);
   } else {
@@ -1274,12 +1199,10 @@ CrossBroker::AgentInfo& CrossBroker::create_agent_with_carrier(
   trace(JobId::none(), obs::TraceEventKind::kAgentDeployed,
         "agent " + std::to_string(agent_id.value()) + " -> site " +
             std::to_string(site_id.value()),
-        obs::LabelSet{{"site", std::to_string(site_id.value())}});
-  count("broker.agents_deployed",
-        obs::LabelSet{{"site", std::to_string(site_id.value())}});
+        site_labels(site_id));
+  count("broker.agents_deployed", site_labels(site_id));
   if (obs_ != nullptr) {
-    agent.set_metrics(&obs_->metrics,
-                      obs::LabelSet{{"site", std::to_string(site_id.value())}});
+    agent.set_metrics(&obs_->metrics, site_labels(site_id));
   }
 
   AgentInfo info;
@@ -1324,49 +1247,10 @@ CrossBroker::AgentInfo& CrossBroker::create_agent_with_carrier(
     agents_.remove(agent_id);
   };
 
-  bus_.send(endpoint_, site->endpoint(),
-            net::SubmitJob{carrier, net::SubmitPhase::kPrepare}, inline_send(),
-            [this, site_id, request = std::move(request),
-             on_carrier_failed =
-                 std::move(on_carrier_failed)](const net::Envelope&) mutable {
-    lrms::Site* prepare_site = find_site(site_id);
-    if (prepare_site == nullptr) {
-      on_carrier_failed();
-      return;
-    }
-    prepare_site->gatekeeper().prepare(request, [this, site_id, request,
-                                                 on_carrier_failed =
-                                                     std::move(on_carrier_failed)](
-                                                    Status prepared) mutable {
-      if (!prepared.ok()) {
-        on_carrier_failed();
-        return;
-      }
-      lrms::Site* s = find_site(site_id);
-      if (s == nullptr) {
-        on_carrier_failed();
-        return;
-      }
-      bus_.send(endpoint_, s->endpoint(),
-                net::SubmitJob{request.id, net::SubmitPhase::kCommit},
-                inline_send(),
-                [this, site_id, request = std::move(request),
-                 on_carrier_failed =
-                     std::move(on_carrier_failed)](const net::Envelope&) mutable {
-        lrms::Site* commit_site = find_site(site_id);
-        if (commit_site == nullptr) {
-          on_carrier_failed();
-          return;
-        }
-        commit_site->gatekeeper().commit(
-            std::move(request),
-            [on_carrier_failed = std::move(on_carrier_failed)](Status accepted) {
-              if (!accepted.ok()) on_carrier_failed();
-            });
-      });
-    });
-  });
-
+  submit_two_phase(site_id, JobId::none(), std::move(request),
+                   [on_carrier_failed = std::move(on_carrier_failed)](Status status) {
+                     if (!status.ok()) on_carrier_failed();
+                   });
   return it->second;
 }
 
@@ -1377,12 +1261,50 @@ void CrossBroker::maybe_dismiss_agent(AgentId agent_id) {
   if (!it->second.pending_interactive.empty() || it->second.pending_batch) return;
   glidein::GlideinAgent* agent = agents_.find(agent_id);
   if (agent == nullptr) return;
-  if (agent->batch_vm_busy() || agent->interactive_vm_busy()) return;
+  // Every VM must be idle: with a multiprogramming degree above 1 one free
+  // interactive slot does not mean the others are. (A pending agent has no
+  // free slots, so it stays.)
+  if (agent->batch_vm_busy() ||
+      agent->free_interactive_slots() < agent->interactive_slot_count()) {
+    return;
+  }
   lrms::Site* site = find_site(it->second.site);
   if (site == nullptr) return;
   // Completing the manual carrier job frees the worker node; the carrier's
   // on_complete removes the agent from the registry.
   site->scheduler().finish_manual(it->second.carrier_job);
+}
+
+void CrossBroker::kill_on_agent(const AgentInfo& info, net::Message notice,
+                                JobId lrms_id, bool interactive) {
+  bus_.send(endpoint_, site_endpoint(info.site), std::move(notice), inline_send(),
+            [this, agent_id = info.id, lrms_id, interactive](const net::Envelope&) {
+              glidein::GlideinAgent* agent = agents_.find(agent_id);
+              if (agent == nullptr) return;
+              if (interactive) {
+                agent->cancel_interactive_job(lrms_id);
+              } else {
+                agent->cancel_slot(glidein::SlotType::kBatch);
+              }
+            });
+}
+
+void CrossBroker::resubmit_elsewhere(JobId id, SiteId failed_site) {
+  ManagedJob* job = find_job(id);
+  if (job == nullptr || is_terminal(job->record.state)) return;
+  job->excluded_sites.push_back(failed_site);
+  resubmit_job(id);
+}
+
+void CrossBroker::resubmit_after_loss(JobId id, bool all_subjobs_lost) {
+  ManagedJob* job = find_job(id);
+  if (job == nullptr) return;
+  if (all_subjobs_lost) {
+    job->subjobs_running = 0;
+    job->subjobs_completed = 0;
+    fair_share_.job_finished(id);
+  }
+  resubmit_job(id);
 }
 
 bool CrossBroker::agent_suspected(AgentId id) const {
@@ -1391,13 +1313,14 @@ bool CrossBroker::agent_suspected(AgentId id) const {
 }
 
 int CrossBroker::advertised_interactive_vms(SiteId site) {
+  // Free slots, reservations included (reservable slots add them back).
   int n = 0;
-  for (glidein::GlideinAgent* agent : agents_.agents()) {
-    if (agent->site() != site) continue;
-    const auto it = agent_info_.find(agent->id());
-    if (it != agent_info_.end() && it->second.suspected) continue;
-    n += agent->free_interactive_slots();
-  }
+  scan_vms(site, /*include_hard_excluded=*/true,
+           [&n](const glidein::GlideinAgent&, const AgentInfo& info, int slots) {
+             if (!info.suspected) {
+               n += slots + static_cast<int>(info.pending_interactive.size());
+             }
+           });
   return n;
 }
 
@@ -1407,155 +1330,121 @@ void CrossBroker::supervise_agent(AgentInfo& info) {
   // Bucket at `now`: the agent becomes due at the next tick, exactly when
   // the old full scan would first have visited it.
   const SimTime now = sim_.now();
-  if (config_.enable_agent_heartbeats && !info.hb_due) {
-    info.hb_due = now;
-    hb_buckets_[now].insert(info.id);
-  }
-  if (config_.enable_liveness_probes && !info.lv_due) {
-    info.lv_due = now;
-    lv_buckets_[now].insert(info.id);
+  for (const SupervisionChannel channel : {kHeartbeat, kLiveness}) {
+    std::optional<SimTime>& due = info.channels[channel].due;
+    if (supervision_[channel].enabled && !due) {
+      due = now;
+      supervision_[channel].buckets[now].insert(info.id);
+    }
   }
 }
 
 void CrossBroker::unsupervise_agent(AgentInfo& info) {
-  if (info.hb_due) {
-    const auto it = hb_buckets_.find(*info.hb_due);
-    if (it != hb_buckets_.end()) {
+  for (const SupervisionChannel channel : {kHeartbeat, kLiveness}) {
+    std::optional<SimTime>& due = info.channels[channel].due;
+    if (!due) continue;
+    auto& buckets = supervision_[channel].buckets;
+    const auto it = buckets.find(*due);
+    if (it != buckets.end()) {
       it->second.erase(info.id);
-      if (it->second.empty()) hb_buckets_.erase(it);
+      if (it->second.empty()) buckets.erase(it);
     }
-    info.hb_due.reset();
-  }
-  if (info.lv_due) {
-    const auto it = lv_buckets_.find(*info.lv_due);
-    if (it != lv_buckets_.end()) {
-      it->second.erase(info.id);
-      if (it->second.empty()) lv_buckets_.erase(it);
-    }
-    info.lv_due.reset();
+    due.reset();
   }
 }
 
-std::vector<AgentId> CrossBroker::extract_due_agents(
-    std::map<SimTime, std::set<AgentId>>& buckets) {
+void CrossBroker::supervision_tick(SupervisionChannel channel) {
+  Supervision& supervision = supervision_[channel];
   const SimTime now = sim_.now();
+  // Pop every bucket due at or before now. Each bucket is already in
+  // ascending AgentId order (the old full scan's visit order); only a
+  // multi-bucket merge needs a sort.
   std::vector<AgentId> due;
   std::size_t merged = 0;
-  while (!buckets.empty() && buckets.begin()->first <= now) {
-    const auto& ids = buckets.begin()->second;
-    due.insert(due.end(), ids.begin(), ids.end());
+  for (auto& buckets = supervision.buckets;
+       !buckets.empty() && buckets.begin()->first <= now; ++merged) {
+    due.insert(due.end(), buckets.begin()->second.begin(),
+               buckets.begin()->second.end());
     buckets.erase(buckets.begin());
-    ++merged;
   }
-  // Each bucket is already in ascending AgentId order; only a multi-bucket
-  // merge needs a sort to restore the old full scan's visit order.
   if (merged > 1) std::sort(due.begin(), due.end());
-  return due;
-}
-
-void CrossBroker::heartbeat_tick() {
-  const SimTime now = sim_.now();
-  for (const AgentId agent_id : extract_due_agents(hb_buckets_)) {
+  const SimTime next = now + supervision.interval;
+  for (const AgentId agent_id : due) {
     const auto it = agent_info_.find(agent_id);
     if (it == agent_info_.end()) continue;
     AgentInfo& info = it->second;
     // Re-bucket first (the old scan revisited every agent each interval
     // whatever the outcome); the visit body may unsupervise via dismissal.
-    const SimTime next = now + config_.agent_heartbeat_interval;
-    info.hb_due = next;
-    hb_buckets_[next].insert(agent_id);
+    info.channels[channel].due = next;
+    supervision.buckets[next].insert(agent_id);
     glidein::GlideinAgent* agent = agents_.find(agent_id);
     if (agent == nullptr || agent->state() != glidein::AgentState::kRunning) {
       continue;
     }
     lrms::Site* site = find_site(info.site);
     if (site == nullptr) continue;
-    // The probe travels the broker <-> site link; a partitioned link means a
-    // missed heartbeat whether or not the agent is actually alive.
-    const bool reachable =
-        bus_.probe(endpoint_, site->endpoint(), net::Heartbeat{agent_id});
-    if (reachable) {
-      info.missed_heartbeats = 0;
+    if (channel == kHeartbeat) {
+      // The probe travels the broker <-> site link; a partitioned link means
+      // a missed heartbeat whether or not the agent is actually alive.
+      if (!bus_.probe(endpoint_, site->endpoint(), net::Heartbeat{agent_id})) {
+        note_miss(channel, agent_id, info);
+        continue;
+      }
+      info.channels[channel].misses = 0;
       // A passing link heartbeat alone is not proof of life: a wedged agent
       // behind a healthy link stays suspected until its liveness echo
       // returns too.
       if (info.suspected && clear_of_suspicion(info)) restore_agent(agent_id);
     } else {
-      ++info.missed_heartbeats;
-      site_health_.note_heartbeat_miss(info.site);
-      per_site_counter(metrics_.heartbeat_misses, "broker.heartbeat_misses",
-                       info.site)
-          .inc();
-      trace(JobId::none(), obs::TraceEventKind::kHeartbeatMiss,
-            "agent " + std::to_string(agent_id.value()) + " missed probe " +
-                std::to_string(info.missed_heartbeats),
-            obs::LabelSet{{"site", std::to_string(info.site.value())}});
-      if (!info.suspected &&
-          info.missed_heartbeats >= config_.agent_heartbeat_miss_limit) {
-        suspect_agent(agent_id, "heartbeat");
-      }
-    }
-  }
-  sim_.schedule_daemon(config_.agent_heartbeat_interval,
-                       [this] { heartbeat_tick(); });
-}
-
-void CrossBroker::liveness_tick() {
-  const SimTime now = sim_.now();
-  for (const AgentId agent_id : extract_due_agents(lv_buckets_)) {
-    const auto it = agent_info_.find(agent_id);
-    if (it == agent_info_.end()) continue;
-    AgentInfo& info = it->second;
-    const SimTime next = now + config_.liveness_probe_interval;
-    info.lv_due = next;
-    lv_buckets_[next].insert(agent_id);
-    glidein::GlideinAgent* agent = agents_.find(agent_id);
-    if (agent == nullptr || agent->state() != glidein::AgentState::kRunning) {
-      continue;
-    }
-    lrms::Site* site = find_site(info.site);
-    if (site == nullptr) continue;
-    if (info.probe_seq > info.echo_seq) {
       // The previous probe was never echoed: the agent's event loop is
       // stalled or the path is down. Either way the application-level
       // liveness contract failed, whatever the link heartbeat says.
-      ++info.missed_echoes;
-      site_health_.note_liveness_miss(info.site);
-      per_site_counter(metrics_.liveness_misses, "broker.liveness_misses",
-                       info.site)
-          .inc();
-      trace(JobId::none(), obs::TraceEventKind::kLivenessMiss,
-            "agent " + std::to_string(agent_id.value()) + " missed echo " +
-                std::to_string(info.missed_echoes) + " (probe " +
-                std::to_string(info.probe_seq) + ")",
-            obs::LabelSet{{"site", std::to_string(info.site.value())}});
-      if (!info.suspected &&
-          info.missed_echoes >= config_.liveness_miss_limit) {
-        suspect_agent(agent_id, "liveness");
-      }
+      if (info.probe_seq > info.echo_seq) note_miss(channel, agent_id, info);
+      // The probe rides the direct broker <-> agent channel; on a
+      // partitioned link it is simply lost and counted missing at the next
+      // tick. The echo leg is the agent's (deliver_liveness_probe sends
+      // LivenessEcho back to this broker's bus endpoint — a wedged or dead
+      // agent never answers).
+      const std::uint64_t seq = ++info.probe_seq;
+      metrics_.liveness_probes.inc();
+      net::SendOptions options;
+      options.channel_latency = config_.agent_channel_latency;
+      options.drop_when_down = true;
+      bus_.send(endpoint_, site->endpoint(), net::LivenessProbe{agent_id, seq},
+                options, [this, agent_id, seq](const net::Envelope&) {
+                  glidein::GlideinAgent* a = agents_.find(agent_id);
+                  if (a != nullptr) a->deliver_liveness_probe(seq);
+                });
     }
-    send_liveness_probe(agent_id, info, *site);
   }
-  sim_.schedule_daemon(config_.liveness_probe_interval,
-                       [this] { liveness_tick(); });
+  sim_.schedule_daemon(supervision.interval,
+                       [this, channel] { supervision_tick(channel); });
 }
 
-void CrossBroker::send_liveness_probe(AgentId agent_id, AgentInfo& info,
-                                      const lrms::Site& site) {
-  const std::uint64_t seq = ++info.probe_seq;
-  metrics_.liveness_probes.inc();
-  // The probe rides the direct broker <-> agent channel; on a partitioned
-  // link it is simply lost and counted missing at the next tick. The echo
-  // leg is the agent's (deliver_liveness_probe sends LivenessEcho back to
-  // this broker's bus endpoint — a wedged or dead agent never answers).
-  net::SendOptions options;
-  options.channel_latency = config_.agent_channel_latency;
-  options.drop_when_down = true;
-  bus_.send(endpoint_, site.endpoint(), net::LivenessProbe{agent_id, seq},
-            options, [this, agent_id, seq](const net::Envelope&) {
-              glidein::GlideinAgent* agent = agents_.find(agent_id);
-              if (agent != nullptr) agent->deliver_liveness_probe(seq);
-            });
+void CrossBroker::note_miss(SupervisionChannel channel, AgentId agent_id,
+                            AgentInfo& info) {
+  const int misses = ++info.channels[channel].misses;
+  std::string detail = "agent " + std::to_string(agent_id.value());
+  if (channel == kHeartbeat) {
+    site_health_.note_heartbeat_miss(info.site);
+    detail += " missed probe " + std::to_string(misses);
+  } else {
+    site_health_.note_liveness_miss(info.site);
+    detail += " missed echo " + std::to_string(misses) + " (probe " +
+              std::to_string(info.probe_seq) + ")";
+  }
+  per_site_counter(metrics_.misses[channel],
+                   channel == kHeartbeat ? "broker.heartbeat_misses"
+                                         : "broker.liveness_misses",
+                   info.site)
+      .inc();
+  trace(JobId::none(),
+        channel == kHeartbeat ? obs::TraceEventKind::kHeartbeatMiss
+                              : obs::TraceEventKind::kLivenessMiss,
+        std::move(detail), site_labels(info.site));
+  if (!info.suspected && misses >= supervision_[channel].miss_limit) {
+    suspect_agent(agent_id, channel);
+  }
 }
 
 void CrossBroker::on_liveness_echo(AgentId agent_id, std::uint64_t seq) {
@@ -1563,30 +1452,32 @@ void CrossBroker::on_liveness_echo(AgentId agent_id, std::uint64_t seq) {
   if (it == agent_info_.end()) return;
   AgentInfo& info = it->second;
   if (seq > info.echo_seq) info.echo_seq = seq;
-  info.missed_echoes = 0;
+  info.channels[kLiveness].misses = 0;
   if (info.suspected && clear_of_suspicion(info)) restore_agent(agent_id);
 }
 
 bool CrossBroker::clear_of_suspicion(const AgentInfo& info) const {
-  const bool heartbeats_ok =
-      !config_.enable_agent_heartbeats ||
-      info.missed_heartbeats < config_.agent_heartbeat_miss_limit;
-  const bool echoes_ok = !config_.enable_liveness_probes ||
-                         info.missed_echoes < config_.liveness_miss_limit;
-  return heartbeats_ok && echoes_ok;
+  for (const SupervisionChannel channel : {kHeartbeat, kLiveness}) {
+    const Supervision& supervision = supervision_[channel];
+    if (supervision.enabled &&
+        info.channels[channel].misses >= supervision.miss_limit) {
+      return false;
+    }
+  }
+  return true;
 }
 
-void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
+void CrossBroker::suspect_agent(AgentId agent_id, SupervisionChannel channel) {
   const auto it = agent_info_.find(agent_id);
   if (it == agent_info_.end() || it->second.suspected) return;
   AgentInfo& info = it->second;
   info.suspected = true;
   info.suspected_since = sim_.now();
   site_health_.note_suspected(info.site);
-  const bool by_liveness = std::string_view{reason} == "liveness";
+  const char* reason = channel == kHeartbeat ? "heartbeat" : "liveness";
   const std::string cause =
-      by_liveness ? std::to_string(info.missed_echoes) + " missed liveness echoes"
-                  : std::to_string(info.missed_heartbeats) + " missed heartbeats";
+      std::to_string(info.channels[channel].misses) +
+      (channel == kHeartbeat ? " missed heartbeats" : " missed liveness echoes");
   log_warn(kLog, "agent ", agent_id.value(), " suspected (", cause, ")");
   trace(JobId::none(), obs::TraceEventKind::kAgentSuspected,
         "agent " + std::to_string(agent_id.value()) + " after " + cause,
@@ -1613,7 +1504,7 @@ void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
     trace(id, obs::TraceEventKind::kLeaseRevoked,
           "reserved agent " + std::to_string(agent_id.value()) +
               " missed heartbeats",
-          obs::LabelSet{{"site", std::to_string(info.site.value())}});
+          site_labels(info.site));
     count("broker.lease_revocations");
     resubmit_job(id);
   }
@@ -1625,14 +1516,13 @@ void CrossBroker::restore_agent(AgentId agent_id) {
   const auto it = agent_info_.find(agent_id);
   if (it == agent_info_.end() || !it->second.suspected) return;
   it->second.suspected = false;
-  it->second.missed_heartbeats = 0;
-  it->second.missed_echoes = 0;
+  for (auto& channel : it->second.channels) channel.misses = 0;
   it->second.suspected_since.reset();
   site_health_.note_restored(it->second.site);
   log_info(kLog, "agent ", agent_id.value(), " re-registered");
   trace(JobId::none(), obs::TraceEventKind::kAgentRestored,
         "agent " + std::to_string(agent_id.value()) + " re-registered",
-        obs::LabelSet{{"site", std::to_string(it->second.site.value())}});
+        site_labels(it->second.site));
   count("broker.agents_restored");
   // Residents may have been evicted while the agent was suspected, leaving
   // it idle: now that it is reachable again the usual idle-dismissal applies,
@@ -1665,29 +1555,16 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
     // Best-effort local kill: behind a real partition the command may never
     // arrive, but the broker stops accounting for the resident either way.
     if (agent != nullptr && job != nullptr) {
-      lrms::Site* agent_site = find_site(info.site);
-      const std::string site_dst =
-          agent_site != nullptr ? agent_site->endpoint() : std::string{};
       if (interactive) {
         for (const auto& sub : job->record.subjobs) {
           if (sub.agent == agent_id) {
-            const JobId lrms_id = sub.lrms_job_id;
-            bus_.send(endpoint_, site_dst, net::EvictNotice{job_id, agent_id},
-                      inline_send(),
-                      [this, agent_id, lrms_id](const net::Envelope&) {
-                        if (auto* a = agents_.find(agent_id)) {
-                          a->cancel_interactive_job(lrms_id);
-                        }
-                      });
+            kill_on_agent(info, net::EvictNotice{job_id, agent_id},
+                          sub.lrms_job_id, /*interactive=*/true);
           }
         }
       } else {
-        bus_.send(endpoint_, site_dst, net::EvictNotice{job_id, agent_id},
-                  inline_send(), [this, agent_id](const net::Envelope&) {
-                    if (auto* a = agents_.find(agent_id)) {
-                      a->cancel_slot(glidein::SlotType::kBatch);
-                    }
-                  });
+        kill_on_agent(info, net::EvictNotice{job_id, agent_id}, JobId::none(),
+                      /*interactive=*/false);
       }
     }
     if (job == nullptr || is_terminal(job->record.state)) continue;
@@ -1705,19 +1582,11 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
     // Subjobs on other agents cannot be rewound from here; resubmit_job then
     // reports the partial failure. The single-agent job — the normal
     // interactive case — is rewound and rescheduled from scratch.
-    bool all_on_this_agent = true;
-    for (const auto& sub : job->record.subjobs) {
-      if (!sub.completed && sub.agent != agent_id) {
-        all_on_this_agent = false;
-        break;
-      }
-    }
-    if (all_on_this_agent) {
-      job->subjobs_running = 0;
-      job->subjobs_completed = 0;
-      fair_share_.job_finished(job_id);
-    }
-    resubmit_job(job_id);
+    resubmit_after_loss(
+        job_id, std::all_of(job->record.subjobs.begin(), job->record.subjobs.end(),
+                            [agent_id](const SubJobRecord& sub) {
+                              return sub.completed || sub.agent == agent_id;
+                            }));
   }
 }
 
@@ -1730,10 +1599,8 @@ void CrossBroker::handle_agent_death(AgentId agent_id) {
   agents_.remove(agent_id);
   log_warn(kLog, "agent ", agent_id.value(), " died on site ", info.site.value());
   trace(JobId::none(), obs::TraceEventKind::kAgentDied,
-        "agent " + std::to_string(agent_id.value()),
-        obs::LabelSet{{"site", std::to_string(info.site.value())}});
-  count("broker.agent_deaths",
-        obs::LabelSet{{"site", std::to_string(info.site.value())}});
+        "agent " + std::to_string(agent_id.value()), site_labels(info.site));
+  count("broker.agent_deaths", site_labels(info.site));
 
   // Resident and in-flight jobs died with the agent. Batch jobs are
   // resubmitted "when possible"; interactive jobs fail loudly (their user is
@@ -1746,12 +1613,8 @@ void CrossBroker::handle_agent_death(AgentId agent_id) {
       fail_job(*maybe_job,
                make_error("broker.agent_died", "glide-in agent was killed"));
     } else {
-      // The resident job is dead, not merely partially started: rewind its
-      // execution bookkeeping before resubmitting it from scratch.
-      job->subjobs_running = 0;
-      job->subjobs_completed = 0;
-      fair_share_.job_finished(*maybe_job);
-      resubmit_job(*maybe_job);
+      // The resident job is dead, not merely partially started.
+      resubmit_after_loss(*maybe_job, /*all_subjobs_lost=*/true);
     }
   };
   recover(info.batch_resident, false);
@@ -1772,15 +1635,9 @@ void CrossBroker::on_site_job_killed(SiteId site_id, JobId job_id, NodeId) {
     for (auto& sub : job->record.subjobs) {
       if (sub.lrms_job_id == job_id && !sub.completed) {
         log_warn(kLog, "job ", id, " killed at site ", site_id.value());
-        // The killed subjob no longer runs; rewind before resubmitting.
-        // (Multi-subjob jobs with survivors still count as partial failures
-        // inside resubmit_job.)
-        if (job->record.subjobs.size() == 1) {
-          job->subjobs_running = 0;
-          job->subjobs_completed = 0;
-          fair_share_.job_finished(id);
-        }
-        resubmit_job(id);
+        // The killed subjob no longer runs. (Multi-subjob jobs with
+        // survivors count as partial failures inside resubmit_job.)
+        resubmit_after_loss(id, job->record.subjobs.size() == 1);
         return;
       }
     }

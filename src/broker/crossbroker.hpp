@@ -35,10 +35,12 @@
 #include "broker/site_health.hpp"
 #include "glidein/agent_registry.hpp"
 #include "infosys/information_system.hpp"
+#include "net/message.hpp"
 #include "obs/observability.hpp"
 
 namespace cg::lrms {
 class Site;
+struct GridJobRequest;
 }
 namespace cg::mpijob {
 class RuntimeBarrierCoordinator;
@@ -233,7 +235,16 @@ private:
     std::shared_ptr<const jdl::CompiledMatch> compiled_match;
     /// Runtime barrier coordination for BSP workloads (multi-rank only).
     std::unique_ptr<mpijob::RuntimeBarrierCoordinator> barrier_coordinator;
+    /// False once a resubmission replaced the subjob an event was sent for.
+    [[nodiscard]] bool is_current(std::size_t index, SubJobId sub) const {
+      return index < record.subjobs.size() && record.subjobs[index].id == sub;
+    }
   };
+
+  /// Link heartbeats and liveness echoes share deadline buckets, miss
+  /// counting and suspicion; only the probe differs.
+  enum SupervisionChannel : std::size_t { kHeartbeat = 0, kLiveness = 1 };
+  static constexpr std::size_t kChannels = 2;
 
   struct AgentInfo {
     AgentId id;
@@ -247,24 +258,22 @@ private:
     /// Interactive jobs reserved onto slots but not yet started.
     std::vector<JobId> pending_interactive;
     std::optional<JobId> pending_batch;
-    /// Heartbeat supervision (fault recovery): consecutive missed probes and
-    /// whether the agent is currently suspected unreachable.
-    int missed_heartbeats = 0;
+    /// Per supervision channel: consecutive misses, and the deadline bucket
+    /// the agent sits in (absent: not bucketed), so ticks visit only agents
+    /// whose deadline elapsed.
+    struct ChannelState {
+      int misses = 0;
+      std::optional<SimTime> due;
+    };
+    std::array<ChannelState, kChannels> channels;
     bool suspected = false;
-    /// Liveness-echo supervision: highest probe sequence sent / echoed back,
-    /// and consecutive unanswered probes. probe_seq > echo_seq means a probe
-    /// is outstanding when the next tick fires.
+    /// Liveness probe sequence sent / echoed back: probe_seq > echo_seq
+    /// means a probe is outstanding when the next tick fires.
     std::uint64_t probe_seq = 0;
     std::uint64_t echo_seq = 0;
-    int missed_echoes = 0;
     /// When the current suspicion began; guards the eviction timer against
     /// suspect -> restore -> suspect races.
     std::optional<SimTime> suspected_since;
-    /// Deadline-bucket membership for the supervision channels (absent:
-    /// not bucketed). Ticks visit only agents whose deadline elapsed
-    /// instead of scanning every known agent.
-    std::optional<SimTime> hb_due;
-    std::optional<SimTime> lv_due;
     /// Fired (once) when the agent's AgentRegister message arrives.
     std::function<void(AgentInfo&)> on_ready;
     /// Free slots minus reservations: what a new placement may still take.
@@ -294,15 +303,33 @@ private:
   void place_job(JobId id, std::vector<Candidate> fresh_candidates,
                  std::optional<Candidate> preselected = std::nullopt);
   void handle_no_resources(JobId id);
+  /// The one walk over agents_.agents() (in that order) behind every VM
+  /// decision: visit(agent, info, reservable slots) per agent, on `site`
+  /// only when given, hard-excluded sites only when included.
+  template <typename Visit>
+  void scan_vms(std::optional<SiteId> site, bool include_hard_excluded,
+                Visit&& visit);
 
   // -- dispatch ------------------------------------------------------------
-  void dispatch_interactive_on_vms(JobId id);
   void dispatch_subjob_to_vm(JobId id, std::size_t subjob_index,
                              glidein::GlideinAgent& agent);
   void dispatch_subjob_exclusive(JobId id, std::size_t subjob_index, SiteId site);
+  /// Two-phase-commit SubmitJob (prepare, then commit) through the site's
+  /// gatekeeper; `done` gets the failed prepare's status or the commit's.
+  /// Nothing is committed for a `job` that ended during prepare (carriers
+  /// pass none).
+  void submit_two_phase(SiteId site, JobId job, lrms::GridJobRequest request,
+                        std::function<void(Status)> done);
+  /// Relays a subjob's start or completion to the broker as a JobStatus
+  /// message. A completion on a VM of `agent` also updates its residents.
+  void relay_job_status(SiteId site, JobId id, std::size_t subjob_index,
+                        net::StatusPhase phase, AgentId agent = AgentId::none(),
+                        bool interactive_slot = false);
   void dispatch_subjob_with_new_agent(JobId id, std::size_t subjob_index,
                                       SiteId site, bool interactive_slot);
   void arm_queue_detection(JobId id, std::size_t subjob_index, SiteId site);
+  /// CancelJob: dequeues a directly placed subjob (or kills it on its node).
+  void cancel_at_site(SiteId site, JobId lrms_id, bool queued_only);
 
   // -- lifecycle -----------------------------------------------------------
   void set_state(ManagedJob& job, JobState state);
@@ -314,6 +341,7 @@ private:
   void resubmit_job(JobId id);
   void release_leases(ManagedJob& job);
   void poll_broker_queue();
+  void arm_queue_poll();
   /// Barrier plumbing for parallel BSP workloads.
   void setup_barrier_coordination(ManagedJob& job);
   [[nodiscard]] lrms::TaskRunner::BarrierFn barrier_handler_for(JobId id, int rank);
@@ -325,6 +353,15 @@ private:
   void start_job_on_agent(JobId id, std::size_t subjob_index, AgentInfo& info,
                           bool interactive_slot);
   void maybe_dismiss_agent(AgentId agent_id);
+  /// Sends KillJob or EvictNotice; on delivery the agent drops interactive
+  /// job `lrms_id`, or its batch slot.
+  void kill_on_agent(const AgentInfo& info, net::Message notice, JobId lrms_id,
+                     bool interactive);
+  /// Resubmits a job that lost subjobs, rewound to a fresh start when no
+  /// live subjob survived (survivors make it a partial failure).
+  void resubmit_after_loss(JobId id, bool all_subjobs_lost);
+  /// Resubmits a live job, excluding the site that just failed it.
+  void resubmit_elsewhere(JobId id, SiteId failed_site);
   void handle_agent_death(AgentId agent_id);
   void on_site_job_killed(SiteId site, JobId job, NodeId node);
 
@@ -340,19 +377,14 @@ private:
   void supervise_agent(AgentInfo& info);
   /// Drops the agent from the supervision buckets (death / voluntary exit).
   void unsupervise_agent(AgentInfo& info);
-  /// Pops every bucket due at or before now and returns the merged ids in
-  /// ascending order (the old full scan's visit order).
-  std::vector<AgentId> extract_due_agents(
-      std::map<SimTime, std::set<AgentId>>& buckets);
-  void heartbeat_tick();
-  void liveness_tick();
-  void send_liveness_probe(AgentId agent_id, AgentInfo& info,
-                           const lrms::Site& site);
+  void supervision_tick(SupervisionChannel channel);
+  /// Counts a missed probe or echo; suspects the agent at the miss limit.
+  void note_miss(SupervisionChannel channel, AgentId agent_id, AgentInfo& info);
   void on_liveness_echo(AgentId agent_id, std::uint64_t seq);
-  void suspect_agent(AgentId agent_id, const char* reason);
+  void suspect_agent(AgentId agent_id, SupervisionChannel channel);
   void restore_agent(AgentId agent_id);
-  /// True when nothing (link heartbeats, liveness echoes) still accuses the
-  /// agent; gates restoration so a wedged agent on a healthy link is not
+  /// True when no channel (link heartbeats, liveness echoes) still accuses
+  /// the agent; gates restoration so a wedged agent on a healthy link is not
   /// resurrected by passing heartbeats alone.
   [[nodiscard]] bool clear_of_suspicion(const AgentInfo& info) const;
   void evict_suspected_residents(AgentId agent_id, SimTime suspected_since);
@@ -363,6 +395,8 @@ private:
   [[nodiscard]] Status check_user_security(UserId user) const;
   [[nodiscard]] std::optional<gsi::CertificateChain> chain_for(UserId user) const;
   [[nodiscard]] lrms::Site* find_site(SiteId id);
+  /// The site's bus endpoint; empty for an unknown site.
+  [[nodiscard]] std::string site_endpoint(SiteId id);
   [[nodiscard]] ManagedJob* find_job(JobId id);
   [[nodiscard]] int needed_cpus_per_site(const jdl::JobDescription& desc) const;
 
@@ -399,8 +433,8 @@ private:
     obs::GaugeHandle queue_depth;
     /// Indexed by PlacementKind (the histogram's "placement" label).
     std::array<obs::HistogramHandle, 5> match_latency;
-    std::map<SiteId, obs::CounterHandle> heartbeat_misses;
-    std::map<SiteId, obs::CounterHandle> liveness_misses;
+    /// Per supervision channel: the per-site miss counters.
+    std::array<std::map<SiteId, obs::CounterHandle>, kChannels> misses;
   };
   /// The cached per-site counter handle, binding it on first use.
   obs::CounterHandle& per_site_counter(
@@ -417,11 +451,16 @@ private:
   std::map<SiteId, lrms::Site*> sites_;
   std::map<JobId, std::unique_ptr<ManagedJob>> jobs_;
   std::map<AgentId, AgentInfo> agent_info_;
-  /// Supervision deadline buckets: tick time -> agents due then. A std::set
-  /// per bucket keeps extraction in ascending AgentId order — the exact
-  /// order the old full scans visited agents in.
-  std::map<SimTime, std::set<AgentId>> hb_buckets_;
-  std::map<SimTime, std::set<AgentId>> lv_buckets_;
+  /// A supervision channel's settings and deadline buckets (tick time ->
+  /// agents due then; a std::set keeps extraction in AgentId order, the
+  /// order the old full scans visited agents in).
+  struct Supervision {
+    bool enabled = false;
+    Duration interval;
+    int miss_limit = 0;
+    std::map<SimTime, std::set<AgentId>> buckets;
+  };
+  std::array<Supervision, kChannels> supervision_;
   std::deque<JobId> waiting_batch_;
   IdGenerator<JobId> job_ids_;
   IdGenerator<SubJobId> subjob_ids_;

@@ -180,6 +180,11 @@ bool GlideinAgent::echo_liveness_probe(std::uint64_t seq) {
   return true;
 }
 
+std::unique_ptr<GlideinAgent::Resident>& GlideinAgent::slot(int slot_index) {
+  return slot_index < 0 ? batch_job_
+                        : interactive_[static_cast<std::size_t>(slot_index)];
+}
+
 Status GlideinAgent::start_on_slot(int slot_index, SlotJob job,
                                    int performance_loss) {
   if (state_ != AgentState::kRunning) {
@@ -188,9 +193,7 @@ Status GlideinAgent::start_on_slot(int slot_index, SlotJob job,
   if (wedged_) {
     return make_error("glidein.wedged", "agent event loop is stalled");
   }
-  auto& resident = slot_index < 0
-                       ? batch_job_
-                       : interactive_[static_cast<std::size_t>(slot_index)];
+  auto& resident = slot(slot_index);
   if (resident) {
     return make_error("glidein.slot_busy", "virtual machine already occupied");
   }
@@ -204,9 +207,7 @@ Status GlideinAgent::start_on_slot(int slot_index, SlotJob job,
     return dilation_for(slot_index, kind);
   };
   auto on_complete = [this, slot_index] {
-    auto& done = slot_index < 0
-                     ? batch_job_
-                     : interactive_[static_cast<std::size_t>(slot_index)];
+    auto& done = slot(slot_index);
     auto cb = done->job.on_complete;
     // Move the resident into a local rather than resetting in place: this
     // closure is owned by its runner, so freeing it here would destroy the
@@ -228,15 +229,21 @@ Status GlideinAgent::start_on_slot(int slot_index, SlotJob job,
   // Spawning on the slot costs job_start_overhead; dilations change the
   // moment the job actually starts.
   auto start_cb = resident->job.on_start;
-  sim_.schedule(config_.job_start_overhead, [this, slot_index, epoch, start_cb] {
-    auto& res = slot_index < 0
-                    ? batch_job_
-                    : interactive_[static_cast<std::size_t>(slot_index)];
-    // The epoch check drops the event if the slot was cancelled (or re-used
-    // by a different job) while this start was in flight.
-    if (!res || res->epoch != epoch) return;
+  sim_.schedule(config_.job_start_overhead, [this, alive = std::weak_ptr{alive_},
+                                             slot_index, epoch, start_cb] {
+    // The agent may have been dismissed or killed, and the slot cancelled
+    // (or re-used by a different job), while this start was in flight.
+    const auto slot_holds_this_start = [&] {
+      if (alive.expired()) return false;
+      const auto& res = slot(slot_index);
+      return res != nullptr && res->epoch == epoch;
+    };
+    if (!slot_holds_this_start()) return;
     if (start_cb) start_cb();
-    res->runner->start();
+    // on_start reaches the broker, whose callbacks may cancel the job and
+    // dismiss (destroy) this agent before the runner starts.
+    if (!slot_holds_this_start()) return;
+    slot(slot_index)->runner->start();
     reapply_dilations();
   });
   (slot_index < 0 ? metrics_.slot_starts_batch

@@ -179,6 +179,8 @@ private:
   void update_occupancy_metrics();
   /// Dilation for the batch slot (slot_index < 0) or interactive slot i.
   [[nodiscard]] double dilation_for(int slot_index, lrms::PhaseKind kind) const;
+  /// The batch slot (slot_index < 0) or interactive slot i.
+  std::unique_ptr<Resident>& slot(int slot_index);
   Status start_on_slot(int slot_index, SlotJob job, int performance_loss);
   [[nodiscard]] int running_interactive_count() const;
 
@@ -199,6 +201,9 @@ private:
   std::optional<NodeId> node_;
   sim::ScopedTimer bootstrap_timer_;
 
+  /// Expires with the agent: delayed slot starts check it before touching
+  /// the agent again.
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
   std::unique_ptr<Resident> batch_job_;
   std::vector<std::unique_ptr<Resident>> interactive_;  ///< fixed slot array
   std::uint64_t next_epoch_ = 1;

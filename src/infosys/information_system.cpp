@@ -151,20 +151,6 @@ void InformationSystem::schedule_publication(SiteId id) {
   });
 }
 
-void InformationSystem::query_index(IndexCallback callback) {
-  if (!callback) throw std::invalid_argument{"query_index: null callback"};
-  ++index_queries_;
-  std::vector<SiteRecord> records;
-  records.reserve(sites_.size());
-  for (const auto& [id, entry] : sites_) {
-    if (entry.published) records.push_back(*entry.published);
-  }
-  sim_.schedule(config_.index_query_latency,
-                [cb = std::move(callback), recs = std::move(records)]() mutable {
-                  cb(std::move(recs));
-                });
-}
-
 void InformationSystem::query_index_matching(int needed_cpus,
                                              SnapshotCallback callback) {
   if (!callback) throw std::invalid_argument{"query_index_matching: null callback"};
@@ -213,7 +199,7 @@ InformationSystem::matching_snapshot(int needed_cpus, SimTime delivery) {
   // while the reply is in flight and the broker re-checks live leases at
   // delivery — which is also what makes lease deltas cache-neutral.
   // Walking sites_ in map order yields ascending site ids: the delivery
-  // order query_index uses, with no per-query sort.
+  // order of the full index, with no per-query sort.
   refresh_all_published();
   auto snap = std::make_shared<IndexSnapshot>();
   snap->reserve(all_published_.size());

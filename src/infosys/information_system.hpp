@@ -32,7 +32,6 @@ class InformationSystem {
 public:
   /// Supplies a site's live state when the IS (or broker) asks directly.
   using FreshProvider = std::function<SiteRecord()>;
-  using IndexCallback = std::function<void(std::vector<SiteRecord>)>;
   /// Matching queries hand out shared immutable snapshots instead of record
   /// copies: publishing always creates a fresh record, so a snapshot taken
   /// at query time stays valid however the index changes afterwards.
@@ -63,18 +62,14 @@ public:
   void start_periodic_publication(SiteId id, Duration period);
 
   /// Asynchronous index query; callback fires after the index latency with
-  /// the (possibly stale) published records.
-  void query_index(IndexCallback callback);
-
-  /// Like query_index, but consults the incremental free-CPU index and
-  /// returns only sites that could possibly offer `needed_cpus`: the prefix
-  /// of the effective-free ordering (published free minus leased CPUs) plus
-  /// leased sites whose *published* capacity still covers the request —
-  /// leases may be released while the reply is in flight and the broker
-  /// re-checks leases at delivery time, so pruning must use the
-  /// lease-independent bound to stay decision-identical with query_index.
-  /// Records are delivered in ascending site-id order, exactly the order
-  /// query_index would list the same survivors in.
+  /// the (possibly stale) published records of every site that could
+  /// possibly offer `needed_cpus`: the prefix of the effective-free ordering
+  /// (published free minus leased CPUs) plus leased sites whose *published*
+  /// capacity still covers the request — leases may be released while the
+  /// reply is in flight and the broker re-checks leases at delivery time, so
+  /// pruning must use the lease-independent bound to stay decision-identical
+  /// with the full published index. Records are delivered in ascending
+  /// site-id order, the order the full index lists them in.
   void query_index_matching(int needed_cpus, SnapshotCallback callback);
 
   /// Applies a match-lease delta (positive on acquire, negative on release
@@ -94,7 +89,7 @@ public:
   /// given time (call time + index latency). The provider must be a
   /// decay-only lower bound on exclusion at delivery — in-flight events may
   /// only keep a pruned site excluded, never readmit it — so the pruned
-  /// reply stays decision-identical with what query_index's full snapshot
+  /// reply stays decision-identical with what the full published index
   /// would yield after the matchmaker's own health filter (the broker wires
   /// SiteHealth::hard_excluded_at here, whose reward gating guarantees
   /// exactly this). Single provider; pass nullptr to detach.

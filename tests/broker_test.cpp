@@ -4,9 +4,13 @@
 // recovery, and MPI co-allocation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
 #include "broker/grid_scenario.hpp"
 #include "broker/workload_generator.hpp"
 #include "obs/observability.hpp"
+#include "sim/fault.hpp"
 
 namespace cg::broker {
 namespace {
@@ -540,6 +544,87 @@ TEST_F(BrokerFixture, MultiprogrammingDegreeHostsSeveralInteractiveJobs) {
             *grid.broker().record(id_b)->subjobs[0].agent);
 }
 
+TEST_F(BrokerFixture, DegreeAboveOneKeepsAgentWhileAnyInteractiveJobRuns) {
+  // Dismissal on, four interactive VMs on one warm agent: when the first of
+  // two shared jobs finishes, the agent still hosts the second and must not
+  // leave the machine (the dismissal test is "every slot idle", not "some
+  // slot free").
+  GridScenarioConfig config = default_config();
+  config.sites = 1;
+  config.nodes_per_site = 1;
+  config.broker.glidein.interactive_slots = 4;
+  GridScenario grid{config};
+  grid.broker().preload_agent(grid.site(0).id());
+  grid.sim().run_until(SimTime::from_seconds(60));
+  ASSERT_EQ(grid.broker().agents().running_agents(), 1);
+
+  Outcome a;
+  Outcome b;
+  const std::string jdl =
+      "Executable = \"viz\"; JobType = \"interactive\"; "
+      "MachineAccess = \"shared\"; PerformanceLoss = 10;";
+  (void)grid.broker().submit(parse_job(jdl), UserId{1},
+                             lrms::Workload::cpu(100_s),
+                             GridScenario::ui_endpoint(), watch(a));
+  (void)grid.broker().submit(parse_job(jdl), UserId{2},
+                             lrms::Workload::cpu(100_s),
+                             GridScenario::ui_endpoint(), watch(b));
+  grid.sim().run_until(SimTime::from_seconds(3000));
+  EXPECT_TRUE(a.completed);
+  EXPECT_TRUE(b.completed);
+  // Both done: now the idle agent leaves and the node is free again.
+  EXPECT_EQ(grid.broker().agents().total_agents(), 0);
+  EXPECT_EQ(grid.site(0).scheduler().free_nodes(), 1);
+}
+
+/// Shared interactive job on a warm agent whose on_running callback cancels
+/// it: the cancel empties the slot while the agent's start event is still
+/// on the stack (and, with dismissal on, destroys the agent outright).
+void cancel_from_on_running(int interactive_slots, bool dismiss_idle_agents) {
+  GridScenarioConfig config;
+  config.sites = 1;
+  config.nodes_per_site = 1;
+  config.broker.glidein.interactive_slots = interactive_slots;
+  config.broker.dismiss_idle_agents = dismiss_idle_agents;
+  GridScenario grid{config};
+  grid.broker().preload_agent(grid.site(0).id());
+  grid.sim().run_until(SimTime::from_seconds(60));
+  ASSERT_EQ(grid.broker().agents().running_agents(), 1);
+
+  JobId id;
+  bool cancelled = false;
+  std::string error_code;
+  JobCallbacks cb;
+  cb.on_running = [&](const JobRecord&) { cancelled = grid.broker().cancel(id); };
+  cb.on_failed = [&](const JobRecord&, const Error& e) { error_code = e.code; };
+  id = grid.broker()
+           .submit(parse_job("Executable = \"viz\"; JobType = \"interactive\"; "
+                             "MachineAccess = \"shared\";"),
+                   UserId{1}, lrms::Workload::cpu(100_s),
+                   GridScenario::ui_endpoint(), std::move(cb))
+           .value();
+  grid.sim().run_until(SimTime::from_seconds(600));
+  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(error_code, "broker.cancelled");
+  EXPECT_EQ(grid.broker().record(id)->state, JobState::kFailed);
+  if (dismiss_idle_agents) {
+    EXPECT_EQ(grid.broker().agents().total_agents(), 0);
+    EXPECT_EQ(grid.site(0).scheduler().free_nodes(), 1);
+  } else {
+    const auto agents = grid.broker().agents().agents();
+    ASSERT_EQ(agents.size(), 1u);
+    EXPECT_EQ(agents[0]->free_interactive_slots(), interactive_slots);
+  }
+}
+
+TEST_F(BrokerFixture, CancelFromOnRunningDismissesTheAgentSafely) {
+  cancel_from_on_running(/*interactive_slots=*/1, /*dismiss_idle_agents=*/true);
+}
+
+TEST_F(BrokerFixture, CancelFromOnRunningLeavesAWarmAgentsSlotFree) {
+  cancel_from_on_running(/*interactive_slots=*/2, /*dismiss_idle_agents=*/false);
+}
+
 TEST_F(BrokerFixture, OutputSandboxDelaysCompletion) {
   GridScenario grid{default_config()};
   Outcome plain;
@@ -937,6 +1022,202 @@ TEST_F(BrokerFixture, SubmitValidation) {
   EXPECT_EQ(refused.error().kind, SubmitErrorKind::kBadDescription);
   EXPECT_EQ(refused.error().cause.code, "broker.invalid_user");
   EXPECT_EQ(grid.broker().record(JobId{999}), nullptr);
+}
+
+// ------------------------------------------------------ golden trace -----
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct EveryPathRun {
+  std::string jsonl;  ///< JobTracer JSONL export of the whole run
+  JobRecord p4_on_vms;
+  JobRecord g2_short_of_vms;
+  JobRecord g2_vms_and_agents;
+  JobRecord lapsed_proxy;
+  JobRecord exclusive;
+  JobRecord lease_conflict;
+  bool cancelled_vm_resident = false;
+  bool cancelled_batch_resident = false;
+  std::uint64_t lease_conflicts = 0;
+  std::uint64_t evictions = 0;
+  std::size_t active_leases = 0;
+};
+
+/// One seeded run through every way the broker submits, places, kills and
+/// supervises: carrier two-phase commits (preloaded agents and a batch
+/// job's agent), an MPICH-P4 shared job on one site's VMs, an MPICH-G2
+/// shared job that finds too few VMs (reservation rollback on the
+/// no-resources path), one that combines VMs with new agents, an exclusive
+/// two-phase commit whose prepare fails authentication (the user's proxy
+/// lapses in flight), a successful exclusive run on an idle machine, a
+/// lease conflict caused by an information provider that over-reports free
+/// CPUs (reservation rollback on the conflict path), cancels of a VM
+/// resident and of an agent's batch resident, and a broker<->site partition
+/// that outlives running_job_grace and evicts the residents behind it.
+EveryPathRun run_every_path_scenario() {
+  GridScenarioConfig config;
+  config.sites = 3;
+  config.nodes_per_site = 3;
+  config.enable_gsi = true;
+  config.broker.running_job_grace = Duration::seconds(60);
+  obs::Observability obs;
+  GridScenario grid{config};
+  grid.broker().set_observability(&obs);
+  for (std::uint64_t user = 1; user <= 6; ++user) {
+    grid.register_user(UserId{user}, "user" + std::to_string(user));
+  }
+
+  // Site 2's information provider over-reports free CPUs while `inflate`
+  // is set. It is re-registered without periodic publication, so the index
+  // holds whatever was last published by hand.
+  bool inflate = false;
+  lrms::Site& liar = grid.site(2);
+  grid.infosys().register_site(
+      liar.static_info(),
+      [&liar, &inflate] {
+        infosys::SiteRecord record = liar.snapshot();
+        if (inflate) record.dynamic_info.free_cpus += 8;
+        return record;
+      },
+      config.site_info_latency);
+  grid.infosys().publish_fresh(liar.id());
+
+  const auto submit = [&grid](const std::string& jdl, std::uint64_t user,
+                              Duration cpu) {
+    return grid.broker()
+        .submit(parse_job(jdl), UserId{user}, lrms::Workload::cpu(cpu),
+                GridScenario::ui_endpoint(), {})
+        .value();
+  };
+  const auto record_of = [&grid](JobId id) { return *grid.broker().record(id); };
+
+  grid.broker().preload_agent(grid.site(0).id());
+  grid.broker().preload_agent(grid.site(0).id());
+  grid.broker().preload_agent(grid.site(1).id());
+  const JobId batch = submit("Executable = \"bg\";", 1, 3000_s);
+  grid.sim().run_until(SimTime::from_seconds(60));
+
+  const JobId p4 = submit(
+      "Executable = \"p4\"; JobType = {\"interactive\", \"mpich-p4\"}; "
+      "NodeNumber = 2; MachineAccess = \"shared\";",
+      2, 300_s);
+  const JobId g2_short = submit(
+      "Executable = \"g2\"; JobType = {\"interactive\", \"mpich-g2\"}; "
+      "NodeNumber = 3; MachineAccess = \"shared\";",
+      3, 300_s);
+  grid.sim().run_until(SimTime::from_seconds(120));
+
+  const JobId g2_mixed = submit(
+      "Executable = \"g2\"; JobType = {\"interactive\", \"mpich-g2\"}; "
+      "NodeNumber = 4; MachineAccess = \"shared\";",
+      3, 60_s);
+  grid.sim().run_until(SimTime::from_seconds(200));
+
+  // User 7's proxy lapses one second after it is made: the pre-flight
+  // passes, the gatekeeper's prepare-time authentication does not.
+  std::vector<gsi::Credential> lapsing;
+  lapsing.push_back(grid.certificate_authority()->issue(
+      "/O=CrossGrid/CN=lapsing", grid.sim().now(), 3600_s));
+  lapsing.push_back(gsi::create_proxy(lapsing.back(), grid.sim().now(), 1_s, 7)
+                        .value());
+  grid.broker().set_user_credentials(UserId{7}, lapsing);
+  const JobId lapsed = submit(
+      "Executable = \"viz\"; JobType = \"interactive\"; "
+      "MachineAccess = \"exclusive\";",
+      7, 100_s);
+  const JobId exclusive = submit(
+      "Executable = \"viz\"; JobType = \"interactive\"; "
+      "MachineAccess = \"exclusive\";",
+      5, 100_s);
+  grid.sim().run_until(SimTime::from_seconds(300));
+
+  inflate = true;
+  grid.infosys().publish_fresh(liar.id());
+  const JobId conflict = submit(
+      "Executable = \"g2\"; JobType = {\"interactive\", \"mpich-g2\"}; "
+      "NodeNumber = 12; MachineAccess = \"shared\";",
+      6, 60_s);
+  grid.sim().run_until(SimTime::from_seconds(310));
+  inflate = false;
+  grid.infosys().publish_fresh(liar.id());
+  grid.sim().run_until(SimTime::from_seconds(400));
+
+  const std::string shared_jdl =
+      "Executable = \"viz\"; JobType = \"interactive\"; "
+      "MachineAccess = \"shared\"; PerformanceLoss = 10;";
+  const JobId vm_resident = submit(shared_jdl, 4, 1000_s);
+  grid.sim().run_until(SimTime::from_seconds(500));
+
+  EveryPathRun run;
+  run.cancelled_vm_resident = grid.broker().cancel(vm_resident);
+  run.cancelled_batch_resident = grid.broker().cancel(batch);
+  grid.sim().run_until(SimTime::from_seconds(550));
+
+  // Partition the site hosting a fresh shared resident past the grace.
+  const JobId evicted = submit(shared_jdl, 4, 2000_s);
+  grid.sim().run_until(SimTime::from_seconds(600));
+  const SiteId evicted_site = grid.broker().record(evicted)->subjobs.at(0).site;
+  std::string evicted_endpoint;
+  for (std::size_t i = 0; i < grid.site_count(); ++i) {
+    if (grid.site(i).id() == evicted_site) {
+      evicted_endpoint = grid.site(i).endpoint();
+    }
+  }
+  sim::FaultInjector injector{grid.sim(), &grid.network()};
+  sim::FaultPlan plan;
+  plan.partition_link(grid.broker().endpoint(), evicted_endpoint,
+                      SimTime::from_seconds(610), Duration::seconds(400));
+  injector.arm(plan);
+  grid.sim().run_until(SimTime::from_seconds(4000));
+
+  run.jsonl = obs.tracer.to_jsonl();
+  run.p4_on_vms = record_of(p4);
+  run.g2_short_of_vms = record_of(g2_short);
+  run.g2_vms_and_agents = record_of(g2_mixed);
+  run.lapsed_proxy = record_of(lapsed);
+  run.exclusive = record_of(exclusive);
+  run.lease_conflict = record_of(conflict);
+  run.lease_conflicts = obs.metrics.counter_total("broker.lease_conflicts");
+  run.evictions = obs.metrics.counter_total("broker.jobs_evicted");
+  run.active_leases = grid.broker().leases().active_leases();
+  return run;
+}
+
+TEST(BrokerGoldenTest, EveryDispatchPathTraceDigest) {
+  const EveryPathRun run = run_every_path_scenario();
+  // The scenario really drives each path the digest is meant to cover.
+  EXPECT_EQ(run.p4_on_vms.state, JobState::kCompleted);
+  EXPECT_EQ(run.p4_on_vms.placement, PlacementKind::kInteractiveVm);
+  EXPECT_EQ(run.g2_short_of_vms.state, JobState::kFailed);
+  ASSERT_TRUE(run.g2_short_of_vms.last_error.has_value());
+  EXPECT_EQ(run.g2_short_of_vms.last_error->code, "broker.no_resources");
+  EXPECT_EQ(run.g2_vms_and_agents.state, JobState::kCompleted);
+  EXPECT_EQ(run.g2_vms_and_agents.placement, PlacementKind::kNewAgent);
+  EXPECT_EQ(run.lapsed_proxy.state, JobState::kFailed);
+  EXPECT_EQ(run.lapsed_proxy.resubmissions, 1);
+  EXPECT_EQ(run.exclusive.state, JobState::kCompleted);
+  EXPECT_EQ(run.exclusive.placement, PlacementKind::kIdleMachine);
+  EXPECT_EQ(run.lease_conflict.state, JobState::kFailed);
+  ASSERT_TRUE(run.lease_conflict.last_error.has_value());
+  EXPECT_EQ(run.lease_conflict.last_error->code, "broker.lease_conflict");
+  EXPECT_GE(run.lease_conflicts, 1u);
+  EXPECT_TRUE(run.cancelled_vm_resident);
+  EXPECT_TRUE(run.cancelled_batch_resident);
+  EXPECT_GE(run.evictions, 1u);
+  EXPECT_EQ(run.active_leases, 0u);
+  EXPECT_EQ(run.jsonl, run_every_path_scenario().jsonl)
+      << "same-seed rerun diverged";
+  // FNV-1a of the JobTracer JSONL export, pinned before the broker's
+  // submit, placement, kill and supervision paths were folded together.
+  EXPECT_EQ(fnv1a(run.jsonl), 0x8ef75e725a5d087fULL)
+      << run.jsonl.size() << " bytes";
 }
 
 }  // namespace

@@ -19,6 +19,12 @@ between them (use_fast_path) must not reappear under src/, tests/, bench/
 or examples/, and src/broker/ and src/infosys/ must neither interpret
 machine ClassAds (symmetric_match, to_classad) nor reach for the oracle.
 
+One index query: the broker discovers sites only through
+InformationSystem::query_index_matching. The unpruned whole-index query it
+replaced (query_index, with its IndexCallback) had no product caller left;
+it must not reappear under src/, comments included. Oracles that need the
+full index read published_record() themselves.
+
 Allowed layers:
   * src/net   — the bus itself (the one place link latency is applied)
   * src/sim   — owns Network/Link; naturally calls its own API
@@ -62,6 +68,11 @@ MATCH_SWITCH = re.compile(r"\buse_fast_path\b")
 ORACLE_IN_PRODUCT = re.compile(
     r"\bsymmetric_match\b|\bto_classad\b|legacy_matchmaker")
 ONE_MATCH_DIRS = ("src/broker", "src/infosys")
+
+# The second index query: the unpruned query_index and its callback type.
+# query_index_matching( does not match (the "(" must follow query_index).
+SECOND_INDEX_QUERY = re.compile(r"\bquery_index\s*\(|\bIndexCallback\b")
+ONE_INDEX_QUERY_DIRS = ("src",)
 
 
 def allowed(rel: pathlib.PurePosixPath) -> bool:
@@ -128,6 +139,11 @@ def scan_second_match_path(root: pathlib.Path) -> list[str]:
         "ClassAd matchmaking in the product (it belongs to tests/oracle)")
 
 
+def scan_second_index_query(root: pathlib.Path) -> list[str]:
+    return grep_tree(root, ONE_INDEX_QUERY_DIRS, SECOND_INDEX_QUERY,
+                     "unpruned index query (use query_index_matching)")
+
+
 def main() -> int:
     root = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path(".")
     root = root.resolve()
@@ -169,6 +185,18 @@ def main() -> int:
         )
     else:
         print("[ok]   one matchmaking path: broker::Matchmaker")
+    violations = scan_second_index_query(root)
+    if violations:
+        failed = True
+        print("[FAIL] one index query:")
+        for v in violations:
+            print("  " + v)
+        print(
+            f"\n{len(violations)} violation(s). Discovery queries the index "
+            "through query_index_matching only (docs/performance.md)."
+        )
+    else:
+        print("[ok]   one index query: query_index_matching")
     return 1 if failed else 0
 
 
