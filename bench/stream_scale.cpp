@@ -992,8 +992,9 @@ void prime_pool(cg::stream::ChunkPool& pool, std::size_t n_sessions) {
 }
 
 /// Default-configuration footprint gate. Each session runs like one
-/// GridConsole: a default FlushBufferConfig for both buffers over a private
-/// default ChunkPool (64 KiB slabs, the same size as the buffer capacity).
+/// GridConsole's writers: a default FlushBufferConfig for both buffers, here
+/// over a private default ChunkPool per session (64 KiB slabs, the same size
+/// as the buffer capacity) so each session's footprint can be read alone.
 /// Its whole output fits one slab, so packed segments must keep every
 /// session's pool at two slabs (agent writer + shadow writer) however many
 /// flushed lines are in flight. Returns false and reports each session over.

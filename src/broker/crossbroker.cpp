@@ -256,10 +256,12 @@ bool CrossBroker::cancel(JobId id) {
         const JobId lrms_id = sub.lrms_job_id;
         std::erase(info.pending_interactive, id);
         if (info.pending_batch == id) info.pending_batch.reset();
-        if (std::ranges::find(info.interactive_residents, id) !=
-            info.interactive_residents.end()) {
+        // One resident entry per subjob: at degree > 1 two subjobs of the
+        // job can share this agent, and each needs its own kill.
+        const auto resident = std::ranges::find(info.interactive_residents, id);
+        if (resident != info.interactive_residents.end()) {
           kill_on_agent(info, net::KillJob{lrms_id}, lrms_id, /*interactive=*/true);
-          std::erase(info.interactive_residents, id);
+          info.interactive_residents.erase(resident);
           // The batch job gets its machine (and application factor) back
           // once the last interactive resident is gone.
           if (info.batch_resident && info.interactive_residents.empty()) {
@@ -1542,9 +1544,13 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
   glidein::GlideinAgent* agent = agents_.find(agent_id);
   // Time out every running resident: the agent has been suspected for the
   // whole grace window, so its residents are treated as orphaned.
+  // One victim per job: at degree > 1 several subjobs of one job can be
+  // resident here, and the job is evicted (and resubmitted) once.
   std::vector<std::pair<JobId, bool>> victims;  // (job, interactive slot)
   for (const JobId resident : info.interactive_residents) {
-    victims.emplace_back(resident, true);
+    if (std::ranges::find(victims, std::pair{resident, true}) == victims.end()) {
+      victims.emplace_back(resident, true);
+    }
   }
   if (info.batch_resident) victims.emplace_back(*info.batch_resident, false);
   info.interactive_residents.clear();

@@ -25,8 +25,8 @@ ChunkPool::ChunkPool(std::size_t slab_bytes) : slab_bytes_{slab_bytes} {
 }
 
 ChunkPool::~ChunkPool() {
-  // Withdraw this pool's share of the grid-wide occupancy gauges.
-  set_metrics(nullptr);
+  // Withdraw this pool's share of every registry's occupancy gauges.
+  for (Attachment& attachment : attachments_) withdraw(attachment);
   // Chunks reference the pool; by construction (FlushBuffers and in-flight
   // ChunkRefs are torn down first) everything is back on the free list here.
   for (detail::ChunkHeader* slab : slabs_) ::operator delete(slab);
@@ -57,7 +57,7 @@ detail::ChunkHeader* ChunkPool::acquire(std::size_t min_bytes) {
       // Every slab may be on the free list at once; reserving here keeps
       // release() allocation-free however the in-use count fluctuates.
       free_.reserve(slabs_.size());
-      metrics_.allocated.add(1.0);
+      for (Attachment& a : attachments_) a.allocated.add(1.0);
     }
   } else {
     if (min_bytes > UINT32_MAX) {
@@ -65,20 +65,24 @@ detail::ChunkHeader* ChunkPool::acquire(std::size_t min_bytes) {
     }
     chunk = allocate(min_bytes);
     ++oversize_;
-    metrics_.oversize_allocs.inc();
+    for (Attachment& a : attachments_) a.oversize_allocs.inc();
   }
   ++in_use_;
   high_water_ = std::max(high_water_, in_use_);
-  metrics_.in_use.add(1.0);
-  if (metrics_.in_use.value() > metrics_.high_water.value()) {
-    metrics_.high_water.set(metrics_.in_use.value());
-  }
+  publish_in_use(1.0);
   return chunk;
+}
+
+void ChunkPool::publish_in_use(double delta) {
+  for (Attachment& a : attachments_) {
+    a.in_use.add(delta);
+    if (a.in_use.value() > a.high_water.value()) a.high_water.set(a.in_use.value());
+  }
 }
 
 void ChunkPool::release(detail::ChunkHeader* chunk) {
   --in_use_;
-  metrics_.in_use.add(-1.0);
+  publish_in_use(-1.0);
   if (chunk->capacity == slab_bytes_) {
     free_.push_back(chunk);
   } else {
@@ -86,22 +90,35 @@ void ChunkPool::release(detail::ChunkHeader* chunk) {
   }
 }
 
-void ChunkPool::set_metrics(obs::MetricsRegistry* metrics, obs::LabelSet labels) {
-  // Every pool bound to the same (name, labels) adds into one gauge, so move
-  // this pool's share from the old handles to the new ones.
-  metrics_.in_use.add(-static_cast<double>(in_use_));
-  metrics_.allocated.add(-static_cast<double>(slabs_.size()));
-  metrics_ = MetricHandles{};
-  if (metrics == nullptr) return;
-  metrics_.in_use = metrics->gauge_handle("stream.chunk_pool.in_use", labels);
-  metrics_.allocated = metrics->gauge_handle("stream.chunk_pool.allocated", labels);
-  metrics_.high_water = metrics->gauge_handle("stream.chunk_pool.high_water", labels);
-  metrics_.oversize_allocs =
-      metrics->counter_handle("stream.chunk_pool.oversize_allocs", std::move(labels));
-  metrics_.allocated.add(static_cast<double>(slabs_.size()));
-  metrics_.in_use.add(static_cast<double>(in_use_));
-  metrics_.high_water.set(
-      std::max(metrics_.high_water.value(), metrics_.in_use.value()));
+void ChunkPool::attach_metrics(obs::MetricsRegistry& metrics) {
+  for (Attachment& a : attachments_) {
+    if (a.registry == &metrics) {
+      ++a.count;
+      return;
+    }
+  }
+  // Every pool attached to one registry adds into the same gauges, so the
+  // first attach publishes this pool's current share.
+  Attachment& a = attachments_.emplace_back(Attachment{
+      &metrics, 1, metrics.gauge_handle("stream.chunk_pool.in_use"),
+      metrics.gauge_handle("stream.chunk_pool.allocated"),
+      metrics.gauge_handle("stream.chunk_pool.high_water"),
+      metrics.counter_handle("stream.chunk_pool.oversize_allocs")});
+  a.allocated.add(static_cast<double>(slabs_.size()));
+  a.in_use.add(static_cast<double>(in_use_));
+  a.high_water.set(std::max(a.high_water.value(), a.in_use.value()));
+}
+
+void ChunkPool::detach_metrics(obs::MetricsRegistry& metrics) {
+  const auto it = std::ranges::find(attachments_, &metrics, &Attachment::registry);
+  if (it == attachments_.end() || --it->count > 0) return;
+  withdraw(*it);
+  attachments_.erase(it);
+}
+
+void ChunkPool::withdraw(Attachment& attachment) const {
+  attachment.in_use.add(-static_cast<double>(in_use_));
+  attachment.allocated.add(-static_cast<double>(slabs_.size()));
 }
 
 ChunkRef ChunkRef::copy_of(std::string_view data, ChunkPool& pool) {

@@ -73,16 +73,20 @@ public:
   /// Requests that exceeded the slab size (each one heap-allocates).
   [[nodiscard]] std::size_t oversize_allocations() const { return oversize_; }
 
-  /// Attaches a metrics registry: pool occupancy gauges
-  /// ("stream.chunk_pool.in_use" / ".allocated" / ".high_water") and the
-  /// "stream.chunk_pool.oversize_allocs" counter on top of `labels`. The
-  /// gauges sum over every pool attached with the same labels (each pool
-  /// withdraws its share on detach and destruction); high_water is the peak
-  /// of that sum. Must outlive the pool (or be detached with nullptr).
-  void set_metrics(obs::MetricsRegistry* metrics, obs::LabelSet labels = {});
+  /// Publishes the pool's occupancy into `metrics`: the gauges
+  /// "stream.chunk_pool.in_use" / ".allocated" / ".high_water" and the
+  /// "stream.chunk_pool.oversize_allocs" counter. Attachments are counted
+  /// per registry: the first attach adds this pool's current share to the
+  /// gauges and the matching last detach (or the pool's destruction)
+  /// withdraws it, so the pool holds no handle into a registry that nobody
+  /// has attached. The gauges sum over every pool attached to a registry;
+  /// high_water is the peak of that sum. A registry must outlive its
+  /// attachments.
+  void attach_metrics(obs::MetricsRegistry& metrics);
+  void detach_metrics(obs::MetricsRegistry& metrics);
 
-  /// Process-wide fallback pool (default slab size) used by FlushBuffers
-  /// whose config names no explicit pool.
+  /// Process-wide pool (default slab size) that every FlushBuffer whose
+  /// config names no explicit pool draws from, across consoles and grids.
   [[nodiscard]] static ChunkPool& shared();
 
 private:
@@ -97,13 +101,19 @@ private:
   std::size_t in_use_ = 0;
   std::size_t high_water_ = 0;
   std::size_t oversize_ = 0;
-  struct MetricHandles {
+  /// One attached registry: its handles and how many attach calls hold it.
+  struct Attachment {
+    obs::MetricsRegistry* registry;
+    std::size_t count;
     obs::GaugeHandle in_use;
     obs::GaugeHandle allocated;
     obs::GaugeHandle high_water;
     obs::CounterHandle oversize_allocs;
   };
-  MetricHandles metrics_;
+  void withdraw(Attachment& attachment) const;
+  void publish_in_use(double delta);
+
+  std::vector<Attachment> attachments_;  ///< usually zero or one
 };
 
 /// A reference-counted view of flushed bytes. Either points into a pooled

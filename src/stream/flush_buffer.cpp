@@ -18,14 +18,18 @@ FlushBuffer::FlushBuffer(sim::Simulation& sim, FlushBufferConfig config,
                          FlushFn on_flush)
     : sim_{sim},
       config_{config},
-      pool_{config.pool != nullptr ? config.pool : &ChunkPool::shared()},
+      pool_{&pool_of(config)},
       on_flush_{std::move(on_flush)} {
   if (config_.capacity == 0) throw std::invalid_argument{"capacity must be > 0"};
   if (!on_flush_) throw std::invalid_argument{"null flush callback"};
 }
 
-FlushBuffer::~FlushBuffer() {
-  if (chunk_ != nullptr) detail::chunk_unref(chunk_);
+FlushBuffer::~FlushBuffer() { release_chunk(); }
+
+void FlushBuffer::release_chunk() {
+  if (chunk_ == nullptr) return;
+  detail::chunk_unref(chunk_);
+  chunk_ = nullptr;
 }
 
 void FlushBuffer::set_metrics(obs::MetricsRegistry* metrics,
@@ -94,6 +98,11 @@ void FlushBuffer::flush() {
   if (buffered_ > 0) emit(FlushReason::kExplicit);
 }
 
+void FlushBuffer::close() {
+  flush();
+  release_chunk();
+}
+
 void FlushBuffer::arm_timeout() {
   timer_.rearm(sim_, sim_.schedule(config_.timeout, [this] {
     if (buffered_ > 0) emit(FlushReason::kTimeout);
@@ -118,6 +127,10 @@ void FlushBuffer::emit(FlushReason reason) {
   ++reason_counts_[static_cast<std::size_t>(reason)];
   flush_counters_[static_cast<std::size_t>(reason)].inc();
   on_flush_(std::move(out));
+  // Idle: nothing buffered and no flushed ref still in flight, so the chunk
+  // goes back to the pool instead of staying pinned by a quiet writer.
+  // While refs are in flight the writer keeps packing behind them.
+  if (buffered_ == 0 && chunk_ != nullptr && chunk_->refs == 1) release_chunk();
 }
 
 }  // namespace cg::stream

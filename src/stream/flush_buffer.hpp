@@ -11,7 +11,8 @@
 // a ChunkRef view of the flushed segment instead of a freshly allocated
 // string, so the steady-state flush path never touches the heap. Segments
 // pack back to back in the current chunk, so a writer holds about one slab
-// however many of its flushed lines are still in flight.
+// however many of its flushed lines are still in flight, and none once it
+// is idle (nothing buffered, nothing in flight) or closed.
 #pragma once
 
 #include <array>
@@ -30,9 +31,15 @@ struct FlushBufferConfig {
   Duration timeout = Duration::millis(200);
   bool flush_on_newline = true;
   /// Chunk pool backing the buffer's segments (nullptr = ChunkPool::shared()).
-  /// Must outlive the buffer and every ChunkRef it flushes.
+  /// Must outlive the buffer and every ChunkRef it flushes. A slab smaller
+  /// than `capacity` makes every chunk a one-off oversize allocation.
   ChunkPool* pool = nullptr;
 };
+
+/// The pool a buffer with `config` draws from.
+[[nodiscard]] inline ChunkPool& pool_of(const FlushBufferConfig& config) {
+  return config.pool != nullptr ? *config.pool : ChunkPool::shared();
+}
 
 /// Which of the paper's triggers caused a flush (plus the explicit flush()
 /// call used on job exit).
@@ -56,6 +63,11 @@ public:
   /// Forces out any buffered data (job exit, explicit flush).
   void flush();
 
+  /// Flushes, then lets go of the current chunk: it returns to the pool once
+  /// the flushed refs still in flight are delivered. A later append() takes
+  /// a fresh chunk.
+  void close();
+
   [[nodiscard]] std::size_t buffered() const { return buffered_; }
   [[nodiscard]] std::size_t flush_count() const { return flushes_; }
   /// Flushes attributable to one trigger.
@@ -73,12 +85,14 @@ private:
   void ensure_room(std::size_t take);
   void arm_timeout();
   void emit(FlushReason reason);
+  void release_chunk();
 
   sim::Simulation& sim_;
   FlushBufferConfig config_;
-  ChunkPool* pool_;  ///< resolved (config_.pool or the shared pool)
+  ChunkPool* pool_;  ///< pool_of(config_)
   FlushFn on_flush_;
-  /// Current write chunk (one writer reference held) and the open segment:
+  /// Current write chunk (one writer reference held; none while idle or
+  /// closed) and the open segment:
   /// bytes [seg_start_, seg_start_ + buffered_) are appended-but-unflushed,
   /// and seg_start_ + buffered_ == chunk_->write_pos. A segment never spans
   /// chunks: one that outgrows the room left moves to a fresh chunk.

@@ -1,11 +1,21 @@
 #include "stream/grid_console.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "util/log.hpp"
 
 namespace cg::stream {
+
+namespace {
+
+/// Wraps a string sink as a chunk sink (empty stays empty).
+ConsoleShadow::ChunkSink to_chunk_sink(ConsoleShadow::ScreenSink sink) {
+  if (!sink) return ConsoleShadow::ChunkSink{};
+  return ConsoleShadow::ChunkSink{
+      [fn = std::move(sink)](ChunkRef data) { fn(data.to_string()); }};
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- agent ----
 
@@ -76,8 +86,8 @@ void ConsoleAgent::write_stderr(std::string_view data) {
 }
 
 void ConsoleAgent::close() {
-  out_buffer_->flush();
-  err_buffer_->flush();
+  out_buffer_->close();
+  err_buffer_->close();
 }
 
 void ConsoleAgent::set_input_handler(InputHandler handler) {
@@ -150,22 +160,6 @@ void ConsoleAgent::report_drops_on_reconnect() {
 ConsoleShadow::ConsoleShadow(sim::Simulation& sim, GridConsoleConfig config,
                              sim::DiskModel* ui_disk, ChunkSink sink)
     : sim_{sim}, config_{std::move(config)}, ui_disk_{ui_disk}, sink_{std::move(sink)} {
-  init(ui_disk);
-}
-
-ConsoleShadow::ConsoleShadow(sim::Simulation& sim, GridConsoleConfig config,
-                             sim::DiskModel* ui_disk, ScreenSink sink)
-    : sim_{sim},
-      config_{std::move(config)},
-      ui_disk_{ui_disk},
-      sink_{sink ? ChunkSink{[fn = std::move(sink)](ChunkRef data) {
-              fn(data.to_string());
-            }}
-                 : ChunkSink{}} {
-  init(ui_disk);
-}
-
-void ConsoleShadow::init(sim::DiskModel* ui_disk) {
   if (!sink_) throw std::invalid_argument{"ConsoleShadow: null screen sink"};
   if (config_.mode == jdl::StreamingMode::kReliable && ui_disk == nullptr) {
     throw std::invalid_argument{"reliable mode requires a UI-machine disk"};
@@ -178,6 +172,10 @@ void ConsoleShadow::init(sim::DiskModel* ui_disk) {
                                 obs::LabelSet{{"side", "shadow"}});
   }
 }
+
+ConsoleShadow::ConsoleShadow(sim::Simulation& sim, GridConsoleConfig config,
+                             sim::DiskModel* ui_disk, ScreenSink sink)
+    : ConsoleShadow{sim, std::move(config), ui_disk, to_chunk_sink(std::move(sink))} {}
 
 void ConsoleShadow::attach_agent(ConsoleAgent& agent, SimChannel downlink) {
   AgentLink link;
@@ -233,19 +231,8 @@ void ConsoleShadow::on_agent_reconnected(int rank, std::size_t frames,
 GridConsole::GridConsole(sim::Simulation& sim, sim::Network& network,
                          GridConsoleConfig config, std::string ui_endpoint,
                          ConsoleShadow::ScreenSink sink, Rng rng)
-    : sim_{sim},
-      network_{network},
-      config_{std::move(config)},
-      ui_endpoint_{std::move(ui_endpoint)},
-      rng_{std::move(rng)},
-      pool_{std::max({ChunkPool::kDefaultSlabBytes, config_.agent_buffer.capacity,
-                      config_.shadow_buffer.capacity})} {
-  init_pool();
-  shadow_ = std::make_unique<ConsoleShadow>(
-      sim_, config_,
-      config_.mode == jdl::StreamingMode::kReliable ? &ui_disk_ : nullptr,
-      std::move(sink));
-}
+    : GridConsole{sim, network, std::move(config), std::move(ui_endpoint),
+                  to_chunk_sink(std::move(sink)), std::move(rng)} {}
 
 GridConsole::GridConsole(sim::Simulation& sim, sim::Network& network,
                          GridConsoleConfig config, std::string ui_endpoint,
@@ -254,24 +241,23 @@ GridConsole::GridConsole(sim::Simulation& sim, sim::Network& network,
       network_{network},
       config_{std::move(config)},
       ui_endpoint_{std::move(ui_endpoint)},
-      rng_{std::move(rng)},
-      pool_{std::max({ChunkPool::kDefaultSlabBytes, config_.agent_buffer.capacity,
-                      config_.shadow_buffer.capacity})} {
-  init_pool();
+      rng_{std::move(rng)} {
   shadow_ = std::make_unique<ConsoleShadow>(
       sim_, config_,
       config_.mode == jdl::StreamingMode::kReliable ? &ui_disk_ : nullptr,
       std::move(sink));
+  // Last, so a constructor that throws leaves no attachment behind (the
+  // destructor that detaches would not run).
+  if (config_.obs != nullptr) {
+    pool_of(config_.agent_buffer).attach_metrics(config_.obs->metrics);
+    pool_of(config_.shadow_buffer).attach_metrics(config_.obs->metrics);
+  }
 }
 
-void GridConsole::init_pool() {
-  // Every flush buffer in this console (agents + shadow) draws from one
-  // pool, so a console's slabs recycle across its sessions.
-  config_.agent_buffer.pool = &pool_;
-  config_.shadow_buffer.pool = &pool_;
-  if (config_.obs != nullptr) {
-    pool_.set_metrics(&config_.obs->metrics, obs::LabelSet{});
-  }
+GridConsole::~GridConsole() {
+  if (config_.obs == nullptr) return;
+  pool_of(config_.agent_buffer).detach_metrics(config_.obs->metrics);
+  pool_of(config_.shadow_buffer).detach_metrics(config_.obs->metrics);
 }
 
 ConsoleAgent& GridConsole::add_agent(int rank, const std::string& wn_endpoint) {

@@ -166,7 +166,6 @@ public:
 
 private:
   friend class ConsoleAgent;
-  void init(sim::DiskModel* ui_disk);
   void agent_failed(int rank);
   /// An agent's uplink healed after dropping fast-mode frames.
   void on_agent_reconnected(int rank, std::size_t frames, std::size_t bytes);
@@ -192,14 +191,20 @@ private:
 };
 
 /// Convenience bundle: a shadow plus its agents for one (possibly parallel)
-/// interactive job. Owns all components, including the chunk pool every
-/// flush buffer in the console draws from.
+/// interactive job. Owns all components but the chunk pools: its flush
+/// buffers draw from the pools their configs name (nullptr, the default:
+/// ChunkPool::shared(), one pool for every console in the process). With
+/// config.obs set, those pools publish their occupancy into its registry
+/// while the console lives.
 class GridConsole {
 public:
   GridConsole(sim::Simulation& sim, sim::Network& network, GridConsoleConfig config,
               std::string ui_endpoint, ConsoleShadow::ScreenSink sink, Rng rng);
   GridConsole(sim::Simulation& sim, sim::Network& network, GridConsoleConfig config,
               std::string ui_endpoint, ConsoleShadow::ChunkSink sink, Rng rng);
+  ~GridConsole();
+  GridConsole(const GridConsole&) = delete;
+  GridConsole& operator=(const GridConsole&) = delete;
 
   /// Adds a Console Agent on a worker-node endpoint; returns its reference.
   ConsoleAgent& add_agent(int rank, const std::string& wn_endpoint);
@@ -210,18 +215,14 @@ public:
   /// Disks used by the reliable mode (exposed for experiment bookkeeping).
   [[nodiscard]] sim::DiskModel& ui_disk() { return ui_disk_; }
   [[nodiscard]] sim::DiskModel& wn_disk(std::size_t i) { return *wn_disks_.at(i); }
-  [[nodiscard]] ChunkPool& chunk_pool() { return pool_; }
 
 private:
-  void init_pool();
-
   sim::Simulation& sim_;
   sim::Network& network_;
   GridConsoleConfig config_;
   std::string ui_endpoint_;
   Rng rng_;
   sim::DiskModel ui_disk_;
-  ChunkPool pool_;  ///< shared by every agent/shadow flush buffer
   std::unique_ptr<ConsoleShadow> shadow_;
   std::vector<std::unique_ptr<sim::DiskModel>> wn_disks_;
   std::vector<std::unique_ptr<ConsoleAgent>> agents_;

@@ -625,6 +625,96 @@ TEST_F(BrokerFixture, CancelFromOnRunningLeavesAWarmAgentsSlotFree) {
   cancel_from_on_running(/*interactive_slots=*/2, /*dismiss_idle_agents=*/false);
 }
 
+TEST_F(BrokerFixture, CancelKillsEverySubjobSharingOneAgent) {
+  // Degree 2: both subjobs of one MPICH-G2 shared job land on the only
+  // agent's two VMs. Cancelling the job must free both slots; each subjob
+  // owns one resident entry, so the first kill must not erase the second's.
+  GridScenarioConfig config;
+  config.sites = 1;
+  config.nodes_per_site = 1;
+  config.broker.glidein.interactive_slots = 2;
+  config.broker.dismiss_idle_agents = false;
+  GridScenario grid{config};
+  grid.broker().preload_agent(grid.site(0).id());
+  grid.sim().run_until(SimTime::from_seconds(60));
+  ASSERT_EQ(grid.broker().agents().running_agents(), 1);
+
+  Outcome outcome;
+  const JobId id = grid.broker().submit(
+      parse_job("Executable = \"g2\"; JobType = {\"interactive\", "
+                "\"mpich-g2\"}; NodeNumber = 2; MachineAccess = \"shared\";"),
+      UserId{1}, lrms::Workload::cpu(1000_s), GridScenario::ui_endpoint(),
+      watch(outcome)).value();
+  grid.sim().run_until(SimTime::from_seconds(120));
+  ASSERT_TRUE(outcome.running) << outcome.error_code;
+  const JobRecord* record = grid.broker().record(id);
+  ASSERT_EQ(record->subjobs.size(), 2u);
+  ASSERT_TRUE(record->subjobs[0].agent && record->subjobs[1].agent);
+  ASSERT_EQ(*record->subjobs[0].agent, *record->subjobs[1].agent);
+  const auto agents = grid.broker().agents().agents();
+  ASSERT_EQ(agents.size(), 1u);
+  ASSERT_EQ(agents[0]->free_interactive_slots(), 0);
+
+  EXPECT_TRUE(grid.broker().cancel(id));
+  grid.sim().run_until(SimTime::from_seconds(300));
+  EXPECT_EQ(outcome.error_code, "broker.cancelled");
+  EXPECT_EQ(agents[0]->free_interactive_slots(), 2);
+
+  // Nothing of the cancelled job stays resident: a fresh two-process job
+  // takes both VMs of the same agent and runs to completion.
+  Outcome next;
+  const JobId next_id = grid.broker().submit(
+      parse_job("Executable = \"g2\"; JobType = {\"interactive\", "
+                "\"mpich-g2\"}; NodeNumber = 2; MachineAccess = \"shared\";"),
+      UserId{2}, lrms::Workload::cpu(60_s), GridScenario::ui_endpoint(),
+      watch(next)).value();
+  grid.sim().run_until(SimTime::from_seconds(1000));
+  EXPECT_TRUE(next.completed) << next.error_code;
+  EXPECT_EQ(grid.broker().record(next_id)->placement, PlacementKind::kInteractiveVm);
+  EXPECT_EQ(agents[0]->free_interactive_slots(), 2);
+}
+
+TEST_F(BrokerFixture, PartitionEvictsAJobOnceHoweverManySubjobsShareTheAgent) {
+  // Degree 2, both subjobs of one MPICH-G2 job on one agent, and a
+  // broker<->site partition past running_job_grace: the job is evicted,
+  // and resubmitted, once.
+  GridScenarioConfig config;
+  config.sites = 1;
+  config.nodes_per_site = 1;
+  config.broker.glidein.interactive_slots = 2;
+  config.broker.dismiss_idle_agents = false;
+  config.broker.running_job_grace = Duration::seconds(60);
+  obs::Observability obs;
+  GridScenario grid{config};
+  grid.broker().set_observability(&obs);
+  grid.broker().preload_agent(grid.site(0).id());
+  grid.sim().run_until(SimTime::from_seconds(60));
+  ASSERT_EQ(grid.broker().agents().running_agents(), 1);
+
+  Outcome outcome;
+  const JobId id = grid.broker().submit(
+      parse_job("Executable = \"g2\"; JobType = {\"interactive\", "
+                "\"mpich-g2\"}; NodeNumber = 2; MachineAccess = \"shared\";"),
+      UserId{1}, lrms::Workload::cpu(5000_s), GridScenario::ui_endpoint(),
+      watch(outcome)).value();
+  grid.sim().run_until(SimTime::from_seconds(120));
+  ASSERT_TRUE(outcome.running) << outcome.error_code;
+  const JobRecord* record = grid.broker().record(id);
+  ASSERT_EQ(record->subjobs.size(), 2u);
+  ASSERT_TRUE(record->subjobs[0].agent && record->subjobs[1].agent);
+  ASSERT_EQ(*record->subjobs[0].agent, *record->subjobs[1].agent);
+
+  sim::FaultInjector injector{grid.sim(), &grid.network()};
+  sim::FaultPlan plan;
+  plan.partition_link(grid.broker().endpoint(), grid.site(0).endpoint(),
+                      SimTime::from_seconds(130), Duration::seconds(400));
+  injector.arm(plan);
+  grid.sim().run_until(SimTime::from_seconds(600));
+  EXPECT_EQ(obs.metrics.counter_total("broker.jobs_evicted"), 1u);
+  EXPECT_EQ(obs.metrics.counter_total("broker.resubmissions"), 1u);
+  EXPECT_EQ(grid.broker().record(id)->resubmissions, 1);
+}
+
 TEST_F(BrokerFixture, OutputSandboxDelaysCompletion) {
   GridScenario grid{default_config()};
   Outcome plain;

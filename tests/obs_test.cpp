@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -432,6 +433,66 @@ TEST(GridFacadeTest, JobLifecycleIsTraced) {
                 "broker.match_latency_s",
                 {{"placement", to_string((*done)->placement)}}),
             nullptr);
+}
+
+/// Opens a default console on `grid`, writes `lines` lines and closes it;
+/// returns the grid's "stream.chunk_pool.<name>" gauge afterwards.
+double console_pool_gauge(Grid& grid, int lines, const std::string& name) {
+  stream::GridConsoleConfig config;
+  config.obs = grid.obs_ptr();
+  stream::GridConsole console{grid.sim(), grid.network(), config,
+                              Grid::ui_endpoint(), [](std::string) {}, Rng{3}};
+  stream::ConsoleAgent& agent = console.add_agent(0, grid.site(0).endpoint());
+  for (int i = 0; i < lines; ++i) {
+    agent.write_stdout("output line " + std::to_string(i) + " of the session\n");
+  }
+  agent.close();
+  grid.run();
+  const obs::Gauge* gauge = grid.metrics().find_gauge("stream.chunk_pool." + name);
+  return gauge != nullptr ? gauge->value() : -1.0;
+}
+
+TEST(GridFacadeTest, ConsolePoolGaugesOutliveEachGrid) {
+  // Every default console draws from the one process-wide chunk pool, which
+  // outlives any Grid: a second Grid's consoles must publish into the
+  // second registry, never through a handle into the first, dead one.
+  GridConfig config;
+  config.sites = 1;
+  config.nodes_per_site = 1;
+  {
+    Grid first{config};
+    // Closed and drained, the console holds no chunk.
+    EXPECT_EQ(console_pool_gauge(first, 20, "in_use"), 0.0);
+    EXPECT_GE(first.metrics().find_gauge("stream.chunk_pool.high_water")->value(), 1.0);
+  }
+  Grid second{config};
+  EXPECT_EQ(console_pool_gauge(second, 20, "in_use"), 0.0);
+  double high_water = 0.0;
+  for (const obs::MetricSample& sample : second.metrics_snapshot().samples) {
+    if (sample.name == "stream.chunk_pool.high_water") high_water = sample.value;
+  }
+  EXPECT_GE(high_water, 1.0);
+}
+
+TEST(GridFacadeTest, ConsoleThatFailsToConstructLeavesNoPoolAttachment) {
+  // A console whose constructor throws never runs the destructor that
+  // detaches: it must not have attached the shared pool to the registry,
+  // which dies before the pool does.
+  GridConfig config;
+  config.sites = 1;
+  config.nodes_per_site = 1;
+  {
+    Grid grid{config};
+    stream::GridConsoleConfig console_config;
+    console_config.obs = grid.obs_ptr();
+    EXPECT_THROW((stream::GridConsole{grid.sim(), grid.network(), console_config,
+                                      Grid::ui_endpoint(),
+                                      stream::ConsoleShadow::ScreenSink{}, Rng{3}}),
+                 std::invalid_argument);
+    EXPECT_EQ(grid.metrics().find_gauge("stream.chunk_pool.allocated"), nullptr);
+  }
+  Grid next{config};
+  EXPECT_EQ(console_pool_gauge(next, 5, "in_use"), 0.0);
 }
 
 TEST(GridFacadeTest, TypedRefusalForUnmatchableJob) {

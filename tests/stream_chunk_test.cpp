@@ -3,6 +3,7 @@
 // "The streaming path").
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -148,6 +149,51 @@ TEST(ChunkFlushTest, DefaultConfigPacksLinesIntoOneSlab) {
   EXPECT_EQ(pool.oversize_allocations(), 0u);
 }
 
+TEST(ChunkFlushTest, IdleWriterHoldsNoChunk) {
+  // A flush whose ref the consumer drops at once leaves the writer idle:
+  // the chunk goes back to the pool until the next append.
+  sim::Simulation sim;
+  ChunkPool pool{4096};
+  FlushBufferConfig config;
+  config.capacity = 1024;
+  config.pool = &pool;
+  std::string screen;
+  FlushBuffer buf{sim, config,
+                  FlushBuffer::FlushFn{[&](ChunkRef data) { screen += data.view(); }}};
+  buf.append("a line long enough to live in the chunk\n");
+  EXPECT_EQ(pool.in_use_chunks(), 0u);
+  buf.append("a prompt> ");
+  EXPECT_EQ(pool.in_use_chunks(), 1u);  // buffered bytes keep the chunk
+  buf.append("typed\n");
+  EXPECT_EQ(pool.in_use_chunks(), 0u);
+  EXPECT_EQ(pool.allocated_chunks(), 1u);  // recycled, not reallocated
+  EXPECT_EQ(screen, "a line long enough to live in the chunk\na prompt> typed\n");
+}
+
+TEST(ChunkFlushTest, CloseReleasesTheChunkOnceRefsAreDelivered) {
+  sim::Simulation sim;
+  ChunkPool pool{4096};
+  FlushBufferConfig config;
+  config.capacity = 1024;
+  config.pool = &pool;
+  std::vector<ChunkRef> in_flight;
+  FlushBuffer buf{sim, config,
+                  FlushBuffer::FlushFn{[&](ChunkRef data) {
+                    in_flight.push_back(std::move(data));
+                  }}};
+  buf.append("first line of the job's output\n");
+  buf.append("and its last words, unterminated");
+  // The writer keeps packing behind the ref still in flight.
+  EXPECT_EQ(pool.in_use_chunks(), 1u);
+  buf.close();
+  ASSERT_EQ(in_flight.size(), 2u);
+  EXPECT_EQ(in_flight[1].view(), "and its last words, unterminated");
+  EXPECT_EQ(pool.in_use_chunks(), 1u);  // pinned by the refs alone
+  in_flight.clear();
+  EXPECT_EQ(pool.in_use_chunks(), 0u);
+  EXPECT_EQ(pool.free_chunks(), 1u);
+}
+
 TEST(ChunkFlushTest, RolloverMovesOpenSegmentIntact) {
   // Appends without a newline that straddle the chunk end: the open segment
   // moves whole into a fresh chunk, so every flush is one contiguous view.
@@ -187,19 +233,36 @@ TEST(ChunkFlushTest, RolloverMovesOpenSegmentIntact) {
   EXPECT_EQ(pool.free_chunks(), slabs - 1);
 }
 
+/// A 64-byte numbered output line.
+std::string burst_line(int i) {
+  std::string line = "line " + std::to_string(i) + " ";
+  line.append(63 - line.size(), '.');
+  line.push_back('\n');
+  return line;
+}
+
+/// Console config whose agent and shadow buffers draw from `pool`.
+GridConsoleConfig config_over(jdl::StreamingMode mode, ChunkPool& pool) {
+  GridConsoleConfig config;
+  config.mode = mode;
+  config.agent_buffer.pool = &pool;
+  config.shadow_buffer.pool = &pool;
+  return config;
+}
+
 class ConsoleBurstTest : public ::testing::TestWithParam<jdl::StreamingMode> {};
 
 TEST_P(ConsoleBurstTest, InFlightBurstHoldsAtMostTwoSlabs) {
   // A 600-line burst written before the engine runs is all in flight at
-  // once. With the default buffer and pool configuration the console still
-  // holds at most two slabs, and every line reaches the screen in order.
+  // once. With the default buffer configuration the console still holds at
+  // most two slabs of the pool it is given, and every line reaches the
+  // screen in order.
   sim::Simulation sim;
   sim::Network network{Rng{11}};
   network.add_link("ui", "wn0", sim::LinkSpec::campus());
-  GridConsoleConfig config;
-  config.mode = GetParam();
+  ChunkPool pool;
   std::string screen;
-  GridConsole console{sim, network, config, "ui",
+  GridConsole console{sim, network, config_over(GetParam(), pool), "ui",
                       ConsoleShadow::ChunkSink{[&](ChunkRef data) {
                         screen += data.view();
                       }},
@@ -207,17 +270,50 @@ TEST_P(ConsoleBurstTest, InFlightBurstHoldsAtMostTwoSlabs) {
   ConsoleAgent& agent = console.add_agent(0, "wn0");
   std::string expected;
   for (int i = 0; i < 600; ++i) {
-    std::string line = "line " + std::to_string(i) + " ";
-    line.append(63 - line.size(), '.');
-    line.push_back('\n');
+    const std::string line = burst_line(i);
     expected += line;
     agent.write_stdout(line);
   }
-  EXPECT_LE(console.chunk_pool().allocated_chunks(), 2u);
+  EXPECT_GE(pool.allocated_chunks(), 1u);  // the console really uses `pool`
+  EXPECT_LE(pool.allocated_chunks(), 2u);
   sim.run();
   EXPECT_EQ(screen, expected);
-  EXPECT_LE(console.chunk_pool().allocated_chunks(), 2u);
-  EXPECT_EQ(console.chunk_pool().oversize_allocations(), 0u);
+  EXPECT_LE(pool.allocated_chunks(), 2u);
+  EXPECT_EQ(pool.oversize_allocations(), 0u);
+}
+
+TEST_P(ConsoleBurstTest, ClosedConsoleHoldsNoChunk) {
+  // Once the job's console is closed and its output delivered, neither the
+  // agent's writer nor the shadow's screen buffer pins a slab.
+  sim::Simulation sim;
+  sim::Network network{Rng{11}};
+  network.add_link("ui", "wn0", sim::LinkSpec::campus());
+  ChunkPool pool;
+  std::string screen;
+  GridConsole console{sim, network, config_over(GetParam(), pool), "ui",
+                      ConsoleShadow::ChunkSink{[&](ChunkRef data) {
+                        screen += data.view();
+                      }},
+                      Rng{1}};
+  ConsoleAgent& agent = console.add_agent(0, "wn0");
+  std::string expected;
+  for (int i = 0; i < 100; ++i) {
+    const std::string line = burst_line(i);
+    expected += line;
+    agent.write_stdout(line);
+  }
+  const std::string prompt = "a prompt with no newline> ";
+  expected += prompt;
+  agent.write_stdout(prompt);
+  agent.write_stderr("a warning that never ends its line");
+  sim.run_until(SimTime::from_seconds(1));
+  EXPECT_GE(pool.in_use_chunks(), 1u);  // the unterminated stderr line
+  agent.close();
+  sim.run();
+  EXPECT_GE(pool.allocated_chunks(), 1u);
+  EXPECT_EQ(pool.in_use_chunks(), 0u);
+  EXPECT_EQ(pool.free_chunks(), pool.allocated_chunks());
+  EXPECT_NE(screen.find(expected), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, ConsoleBurstTest,
@@ -228,6 +324,31 @@ INSTANTIATE_TEST_SUITE_P(Modes, ConsoleBurstTest,
                                       ? std::string{"Fast"}
                                       : std::string{"Reliable"};
                          });
+
+TEST(ConsolePoolTest, ManyConsolesRecycleOnePool) {
+  // A portal keeps a console object per session. 100 retained consoles,
+  // each closed after 50 lines, recycle the same few slabs of one pool.
+  sim::Simulation sim;
+  sim::Network network{Rng{11}};
+  network.add_link("ui", "wn0", sim::LinkSpec::campus());
+  ChunkPool pool;
+  std::size_t screen_bytes = 0;
+  std::vector<std::unique_ptr<GridConsole>> consoles;
+  for (int c = 0; c < 100; ++c) {
+    consoles.push_back(std::make_unique<GridConsole>(
+        sim, network, config_over(jdl::StreamingMode::kFast, pool), "ui",
+        ConsoleShadow::ChunkSink{[&](ChunkRef data) { screen_bytes += data.size(); }},
+        Rng{static_cast<std::uint64_t>(c + 1)}));
+    ConsoleAgent& agent = consoles.back()->add_agent(0, "wn0");
+    for (int i = 0; i < 50; ++i) agent.write_stdout(burst_line(i));
+    agent.close();
+    sim.run();
+  }
+  EXPECT_EQ(screen_bytes, 100u * 50u * 64u);
+  EXPECT_GE(pool.allocated_chunks(), 1u);
+  EXPECT_LE(pool.allocated_chunks(), 3u);
+  EXPECT_EQ(pool.in_use_chunks(), 0u);
+}
 
 // ------------------------------------------------------- pool gauges ----
 
@@ -241,8 +362,8 @@ TEST(ChunkPoolTest, GaugesSumOverEveryAttachedPool) {
   {
     ChunkPool a{128};
     ChunkPool b{128};
-    a.set_metrics(&metrics);
-    b.set_metrics(&metrics);
+    a.attach_metrics(metrics);
+    b.attach_metrics(metrics);
     for (int i = 0; i < 3; ++i) {
       refs.push_back(ChunkRef::copy_of(std::string(100, 'a'), a));
     }
@@ -264,6 +385,33 @@ TEST(ChunkPoolTest, GaugesSumOverEveryAttachedPool) {
   EXPECT_EQ(gauge("stream.chunk_pool.in_use"), 0.0);
   EXPECT_EQ(gauge("stream.chunk_pool.allocated"), 0.0);
   EXPECT_EQ(gauge("stream.chunk_pool.high_water"), 5.0);
+}
+
+TEST(ChunkPoolTest, AttachmentsAreCountedPerRegistry) {
+  // Two consoles of one grid attach the same pool to the same registry; the
+  // pool's share stays published until the last of them detaches.
+  obs::MetricsRegistry metrics;
+  const auto gauge = [&](const char* name) {
+    const obs::Gauge* g = metrics.find_gauge(name);
+    return g != nullptr ? g->value() : -1.0;
+  };
+  ChunkPool pool{128};
+  const ChunkRef held = ChunkRef::copy_of(std::string(100, 'a'), pool);
+  pool.attach_metrics(metrics);
+  pool.attach_metrics(metrics);
+  EXPECT_EQ(gauge("stream.chunk_pool.in_use"), 1.0);
+  EXPECT_EQ(gauge("stream.chunk_pool.high_water"), 1.0);
+  pool.detach_metrics(metrics);
+  const ChunkRef second = ChunkRef::copy_of(std::string(100, 'b'), pool);
+  EXPECT_EQ(gauge("stream.chunk_pool.in_use"), 2.0);
+  EXPECT_EQ(gauge("stream.chunk_pool.allocated"), 2.0);
+  pool.detach_metrics(metrics);
+  EXPECT_EQ(gauge("stream.chunk_pool.in_use"), 0.0);
+  EXPECT_EQ(gauge("stream.chunk_pool.allocated"), 0.0);
+  EXPECT_EQ(gauge("stream.chunk_pool.high_water"), 2.0);
+  // Detached: further traffic no longer reaches the registry.
+  const ChunkRef third = ChunkRef::copy_of(std::string(100, 'c'), pool);
+  EXPECT_EQ(gauge("stream.chunk_pool.in_use"), 0.0);
 }
 
 // ------------------------------------------------------------------- ring ----

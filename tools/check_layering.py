@@ -25,6 +25,13 @@ replaced (query_index, with its IndexCallback) had no product caller left;
 it must not reappear under src/, comments included. Oracles that need the
 full index read published_record() themselves.
 
+One chunk pool: every console's flush buffers draw from the process-wide
+ChunkPool::shared() unless a caller names its own pool. No product code
+under src/ other than src/stream/chunk.{hpp,cpp} may construct or own a
+ChunkPool (a ChunkPool member or variable, ChunkPool{...}, new ChunkPool, or
+a smart pointer / optional holding one); comments are not scanned. Tests
+and benches may build private pools.
+
 Allowed layers:
   * src/net   — the bus itself (the one place link latency is applied)
   * src/sim   — owns Network/Link; naturally calls its own API
@@ -73,6 +80,15 @@ ONE_MATCH_DIRS = ("src/broker", "src/infosys")
 # query_index_matching( does not match (the "(" must follow query_index).
 SECOND_INDEX_QUERY = re.compile(r"\bquery_index\s*\(|\bIndexCallback\b")
 ONE_INDEX_QUERY_DIRS = ("src",)
+
+# A second chunk pool: a ChunkPool object declared (member or variable),
+# braced-constructed, new'ed or held by a smart pointer / optional. The
+# definition and the shared() instance live in the exempt files.
+POOL_OWNER = re.compile(
+    r"\bChunkPool\s+\w+\s*[;{(=]|\bChunkPool\s*\{|\bnew\s+(\w+::)*ChunkPool\b"
+    r"|\b(make_unique|make_shared|unique_ptr|shared_ptr|optional)\s*<\s*"
+    r"(\w+::)*ChunkPool\s*>")
+POOL_HOME = ("src/stream/chunk.hpp", "src/stream/chunk.cpp")
 
 
 def allowed(rel: pathlib.PurePosixPath) -> bool:
@@ -144,6 +160,24 @@ def scan_second_index_query(root: pathlib.Path) -> list[str]:
                      "unpruned index query (use query_index_matching)")
 
 
+def scan_second_pool(root: pathlib.Path) -> list[str]:
+    violations = []
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in (".hpp", ".cpp"):
+            continue
+        rel = path.relative_to(root).as_posix()
+        if rel in POOL_HOME:
+            continue
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            if POOL_OWNER.search(line.split("//")[0]):
+                violations.append(
+                    f"{rel}:{lineno}: a second ChunkPool (draw from "
+                    f"ChunkPool::shared() or a caller's pool)\n    {line.strip()}")
+    return violations
+
+
 def main() -> int:
     root = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path(".")
     root = root.resolve()
@@ -197,6 +231,18 @@ def main() -> int:
         )
     else:
         print("[ok]   one index query: query_index_matching")
+    violations = scan_second_pool(root)
+    if violations:
+        failed = True
+        print("[FAIL] one chunk pool:")
+        for v in violations:
+            print("  " + v)
+        print(
+            f"\n{len(violations)} violation(s). Consoles share "
+            "ChunkPool::shared() (docs/performance.md)."
+        )
+    else:
+        print("[ok]   one chunk pool: ChunkPool::shared()")
     return 1 if failed else 0
 
 
